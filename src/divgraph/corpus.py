@@ -11,18 +11,8 @@ is deterministic and ordered, so counterexample reports are stable.
 from functools import lru_cache
 from itertools import permutations
 
-from .graphs import Graph
-
-
-def _bounded_vectors(length, total):
-    """All tuples of nonnegative ints with the given length and sum <= total,
-    in lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _bounded_vectors(length - 1, total - first):
-            yield (first,) + rest
+from .graphs import DisjointSets, Graph
+from .intmat import bounded_vectors
 
 
 def _pair_types(n):
@@ -30,22 +20,9 @@ def _pair_types(n):
 
 
 def _connected(n, pairs, counts):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = n
-    for (i, j), c in zip(pairs, counts):
-        if c and i != j:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                components -= 1
-    return components == 1
+    sets = DisjointSets(n)
+    merges = sum(sets.union(i, j) for (i, j), c in zip(pairs, counts) if c and i != j)
+    return merges == n - 1
 
 
 @lru_cache(maxsize=None)
@@ -63,8 +40,8 @@ def connected_multigraphs(max_vertices=4, max_edges=6, max_total_weight=0):
                 pair_index[tuple(sorted((perm[i], perm[j])))] for (i, j) in pairs
             )
             actions.append((perm, action))
-        weight_vectors = list(_bounded_vectors(n, max_total_weight))
-        for counts in _bounded_vectors(len(pairs), max_edges):
+        weight_vectors = list(bounded_vectors(n, max_total_weight))
+        for counts in bounded_vectors(len(pairs), max_edges):
             if not _connected(n, pairs, counts):
                 continue
             for weights in weight_vectors:
@@ -93,10 +70,3 @@ def _build(n, weights, pairs, counts):
 def weightless(graphs):
     return tuple(g for g in graphs if not any(g.weights))
 
-
-def divisor_box(graph: Graph, coeff_bound: int):
-    """All coefficient tuples with entries in [-coeff_bound, coeff_bound],
-    lexicographic order."""
-    from itertools import product
-
-    return product(range(-coeff_bound, coeff_bound + 1), repeat=graph.vertex_count)

@@ -115,19 +115,16 @@ class RationalFunction:
     def order_at(self, v):
         """Order of vanishing at v: the weighted sum of the drops of the
         function across the edges at v. Loops contribute nothing."""
-        g = self.graph
-        i = g.index(v)
-        fv = self.values[i]
-        return sum(m * (fv - self.values[j]) for j, m in g._neighbors[i])
+        return self.divisor()[v]
 
     def divisor(self):
         """The principal divisor of this function (degree is always 0)."""
         g = self.graph
         vals = self.values
         coeffs = []
-        for i in range(g.vertex_count):
+        for i, nbrs in enumerate(g.neighbors):
             fv = vals[i]
-            coeffs.append(sum(m * (fv - vals[j]) for j, m in g._neighbors[i]))
+            coeffs.append(sum(m * (fv - vals[j]) for j, m in nbrs))
         return Divisor(g, coeffs)
 
     def __add__(self, other):
@@ -158,9 +155,9 @@ def firing_divisor(graph: Graph, v) -> Divisor:
     """
     i = graph.index(v)
     coeffs = [0] * graph.vertex_count
-    for j, m in graph._neighbors[i]:
+    for j, m in graph.neighbors[i]:
         coeffs[j] = m
-    coeffs[i] = -graph._degree[i]
+    coeffs[i] = -graph.degrees[i]
     return Divisor(graph, coeffs)
 
 

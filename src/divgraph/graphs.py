@@ -3,6 +3,9 @@
 A Graph is immutable after construction: the vertex order is fixed, every
 operation is a pure function of the inputs, and derived structures
 (Laplacian data, BFS layers, the loopless model) are memoised internally.
+Other modules read the adjacency through the public view (``adjacency``,
+``neighbors``, ``degrees``, ``edge_pairs``, ``reduced_laplacian``,
+``cut_size``) and memoise their own per-graph data with ``Graph.memo``.
 
 Conventions baked in here:
   * connectivity ignores loop edges (loops never disconnect anything);
@@ -197,18 +200,48 @@ class Graph:
     def complexity(self):
         """Number of spanning trees (loops and weights are irrelevant),
         by the matrix-tree determinant over exact integers."""
-        cached = self._cache.get("complexity")
-        if cached is None:
-            n = len(self._ids)
-            rows = []
-            for i in range(1, n):
-                row = [0] * (n - 1)
-                for j in range(1, n):
-                    row[j - 1] = self._degree[i] if i == j else -self._adj[i][j]
-                rows.append(row)
-            cached = determinant(rows)
-            self._cache["complexity"] = cached
-        return cached
+        return self.memo("complexity", lambda g: determinant(g.reduced_laplacian()))
+
+    # -- read-only adjacency view, indexed by vertex position ---------------
+
+    @property
+    def adjacency(self):
+        """Symmetric matrix of non-loop edge multiplicities (zero diagonal)."""
+        return self._adj
+
+    @property
+    def neighbors(self):
+        """Per vertex, the ``(neighbour index, multiplicity)`` pairs."""
+        return self._neighbors
+
+    @property
+    def degrees(self):
+        """Per vertex, the number of non-loop edges at it."""
+        return self._degree
+
+    @property
+    def edge_pairs(self):
+        """Per edge, its endpoint indices as ``(min, max)``; equal for a loop."""
+        return self._edge_pairs
+
+    def reduced_laplacian(self):
+        """The Laplacian with the first vertex's row and column deleted."""
+        return self.memo("reduced_laplacian", _reduced_laplacian)
+
+    def cut_size(self, indices):
+        """Number of non-loop edges with exactly one end in the index set."""
+        inside = set(indices)
+        nbrs = self._neighbors
+        return sum(m for i in inside for j, m in nbrs[i] if j not in inside)
+
+    def memo(self, key, build):
+        """The value memoised on this graph under ``key``, made by
+        ``build(graph)`` on first use. The graph is immutable, so the
+        value stays valid for the graph's lifetime."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build(self)
+        return value
 
     # -- structure --------------------------------------------------------
 
@@ -281,35 +314,19 @@ class Graph:
             if i == j:
                 raise LoopInContractionSet(f"edge {e} is a loop")
         n = len(self._ids)
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = DisjointSets(n)
         for e in s:
-            i, j = self._edge_pairs[e]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-
-        roots = sorted({find(i) for i in range(n)})
-        fiber_of = {}
-        members = {r: [] for r in roots}
+            sets.union(*self._edge_pairs[e])
+        # each fiber is rooted at its first member, whose id it keeps
+        fiber_of = [sets.find(i) for i in range(n)]
+        # weight of a fiber: member weights plus its first Betti number,
+        # internal edges - members + 1
+        weight = dict.fromkeys(fiber_of, 1)
         for i in range(n):
-            r = find(i)
-            fiber_of[i] = r
-            members[r].append(i)
-
-        new_vertices = []
-        for r in roots:
-            verts = members[r]
-            internal = sum(1 for e in s if self._edge_pairs[e][0] in verts)
-            b1 = internal - len(verts) + 1
-            weight = sum(self._weights[i] for i in verts) + b1
-            new_vertices.append((self._ids[r], weight))
+            weight[fiber_of[i]] += self._weights[i] - 1
+        for e in s:
+            weight[fiber_of[self._edge_pairs[e][0]]] += 1
+        new_vertices = [(self._ids[r], weight[r]) for r in sorted(weight)]
 
         s_set = set(s)
         vertex_map = {self._ids[i]: self._ids[fiber_of[i]] for i in range(n)}
@@ -333,11 +350,7 @@ class Graph:
         loops. Genus is preserved; a graph that is already weightless and
         loopless is its own model.
         """
-        cached = self._cache.get("loopless")
-        if cached is None:
-            cached = self._build_loopless_model()
-            self._cache["loopless"] = cached
-        return cached
+        return self.memo("loopless", Graph._build_loopless_model)
 
     def _build_loopless_model(self):
         if self.is_weightless_loopless():
@@ -359,6 +372,43 @@ class Graph:
         model = Graph(new_vertices, new_edges)
         embedding = {v: v for v in self._ids}
         return LooplessModel(self, model, embedding)
+
+
+def _reduced_laplacian(graph):
+    adj, deg = graph.adjacency, graph.degrees
+    n = graph.vertex_count
+    return tuple(
+        tuple(deg[i] if i == j else -adj[i][j] for j in range(1, n))
+        for i in range(1, n)
+    )
+
+
+class DisjointSets:
+    """Union-find over 0 .. size-1 with path halving. Every set is rooted
+    at its smallest member, so ``find`` names a set by its first element."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, size):
+        self.parent = list(range(size))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
+        return True
 
 
 class ContractionMap:

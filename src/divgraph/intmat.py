@@ -1,10 +1,12 @@
-"""Exact integer matrix helpers: determinants, Smith normal form, lattices.
+"""Exact integer helpers: vector enumeration, determinants, Smith normal
+form, lattices.
 
 Everything here works on plain Python ints, so there is no overflow to
 guard against; matrix-tree determinants routinely exceed 64 bits.
 """
 
 from bisect import bisect_left
+from itertools import combinations
 
 
 def xgcd(a, b):
@@ -19,6 +21,26 @@ def xgcd(a, b):
         y, next_y = next_y, y - q * next_y
         g, next_g = next_g, g - q * next_g
     return x, y, g
+
+
+def bounded_vectors(length, total):
+    """All tuples of ``length`` nonnegative ints with sum at most ``total``,
+    in ascending lexicographic order.
+
+    Stars and bars: the vector (v_1, ..., v_L) is read off the bar
+    positions b_k = v_1 + ... + v_k + k - 1 among total + L slots, and
+    ascending bar positions give ascending vectors.
+    """
+    for bars in combinations(range(total + length), length):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+
+
+def compositions(total, length):
+    """All ``length``-tuples of nonnegative ints summing to ``total``, in
+    ascending lexicographic order: the bounded vectors of length
+    ``length - 1`` with the remainder appended."""
+    for head in bounded_vectors(length - 1, total):
+        yield head + (total - sum(head),)
 
 
 def determinant(rows):

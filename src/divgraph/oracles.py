@@ -11,60 +11,33 @@ moves inside a bounded coefficient box.
 from itertools import combinations, product
 
 from .divisors import Divisor
-from .graphs import Graph
+from .graphs import DisjointSets, Graph
+from .intmat import compositions
 from .picard import principal_lattice
-from .rank import _compositions
 
 
 def spanning_tree_count(graph: Graph) -> int:
     """Number of spanning trees by direct enumeration of edge subsets."""
-    n = graph.vertex_count
-    nonloop = [
-        e for e, (i, j) in enumerate(graph._edge_pairs) if i != j
-    ]
-    if n == 1:
-        return 1
-    count = 0
-    for subset in combinations(nonloop, n - 1):
-        if _is_spanning_tree(graph, subset):
-            count += 1
-    return count
+    return _count_trees(graph, None)
 
 
 def spanning_trees_avoiding(graph: Graph, e: int) -> int:
     """Spanning trees that do not use edge e, by direct enumeration."""
+    return _count_trees(graph, e)
+
+
+def _count_trees(graph, avoided):
+    """Spanning trees among the non-loop edges other than ``avoided``:
+    the (n-1)-subsets that never close a cycle."""
     n = graph.vertex_count
-    nonloop = [
-        k for k, (i, j) in enumerate(graph._edge_pairs) if i != j and k != e
-    ]
-    if n == 1:
-        return 1
+    pairs = graph.edge_pairs
+    usable = [pairs[k] for k, (i, j) in enumerate(pairs) if i != j and k != avoided]
     count = 0
-    for subset in combinations(nonloop, n - 1):
-        if _is_spanning_tree(graph, subset):
+    for subset in combinations(usable, n - 1):
+        sets = DisjointSets(n)
+        if all(sets.union(i, j) for i, j in subset):
             count += 1
     return count
-
-
-def _is_spanning_tree(graph, edge_subset):
-    n = graph.vertex_count
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for e in edge_subset:
-        i, j = graph._edge_pairs[e]
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        parent[ri] = rj
-        merged += 1
-    return merged == n - 1
 
 
 def class_effective_brute(graph: Graph, coeffs) -> bool:
@@ -75,7 +48,7 @@ def class_effective_brute(graph: Graph, coeffs) -> bool:
         return False
     lattice = principal_lattice(graph)
     n = graph.vertex_count
-    for e in _compositions(degree, n):
+    for e in compositions(degree, n):
         diff = tuple(a - b for a, b in zip(e, coeffs))
         if diff in lattice:
             return True
@@ -92,7 +65,7 @@ def rank_by_definition(graph: Graph, divisor: Divisor) -> int:
         return -1
     k = 1
     while True:
-        for e in _compositions(k, n):
+        for e in compositions(k, n):
             rem = tuple(a - b for a, b in zip(coeffs, e))
             if not class_effective_brute(graph, rem):
                 return k - 1
@@ -116,21 +89,14 @@ class FiringComponents:
         n = graph.vertex_count
         radix = 2 * bound + 1
         self._radix = radix
-        self._n = n
-        size = radix**n
-        parent = list(range(size))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        sets = DisjointSets(radix**n)
+        union = sets.union
 
         moves = []
         for i in range(n):
             delta = [0] * n
-            delta[i] = -graph._degree[i]
-            for j, m in graph._neighbors[i]:
+            delta[i] = -graph.degrees[i]
+            for j, m in graph.neighbors[i]:
                 delta[j] = m
             moves.append(tuple(delta))
 
@@ -145,11 +111,8 @@ class FiringComponents:
                         break
                     target_idx = target_idx * radix + (t + bound)
                 if ok:
-                    ra, rb = find(idx), find(target_idx)
-                    if ra != rb:
-                        parent[ra] = rb
-        self._parent = parent
-        self._find = find
+                    union(idx, target_idx)
+        self._find = sets.find
 
     def root(self, coeffs):
         idx = 0

@@ -26,8 +26,8 @@ def reduce_coeffs(graph: Graph, coeffs, q: int):
     if n == 1:
         return tuple(coeffs)
     d = list(coeffs)
-    adj = graph._adj
-    nbrs = graph._neighbors
+    adj = graph.adjacency
+    nbrs = graph.neighbors
 
     # stage 1: make d nonnegative away from q, outermost layer first.
     # Firing the ball of radius k-1 moves chips only from layer k-1 to
@@ -56,21 +56,8 @@ def reduce_coeffs(graph: Graph, coeffs, q: int):
 
     # stage 2: Dhar's burning loop with multi-fire of the unburnt set.
     while True:
-        burnt = [False] * n
-        burnt[q] = True
-        heat = [0] * n  # edges from v into the burnt region
-        stack = [q]
-        nburnt = 1
-        while stack:
-            b = stack.pop()
-            for v, m in nbrs[b]:
-                if not burnt[v]:
-                    heat[v] += m
-                    if heat[v] > d[v]:
-                        burnt[v] = True
-                        nburnt += 1
-                        stack.append(v)
-        if nburnt == n:
+        burnt, heat = _burn(nbrs, d, q)
+        if all(burnt):
             return tuple(d)
         unburnt = [v for v in range(n) if not burnt[v]]
         # every unburnt v satisfies heat[v] <= d[v], so t >= 1
@@ -83,6 +70,28 @@ def reduce_coeffs(graph: Graph, coeffs, q: int):
                 gain = sum(row[v] for v in unburnt)
                 if gain:
                     d[w] += t * gain
+
+
+def _burn(nbrs, d, q):
+    """Dhar's burning test of the configuration d (a list) from q.
+
+    Returns the burnt flags and, per vertex, the number of edges joining
+    it to the burnt region. Every vertex burns iff no subset of V - {q}
+    can fire without sending some vertex negative.
+    """
+    burnt = [False] * len(d)
+    burnt[q] = True
+    heat = [0] * len(d)
+    stack = [q]
+    while stack:
+        b = stack.pop()
+        for v, m in nbrs[b]:
+            if not burnt[v]:
+                heat[v] += m
+                if heat[v] > d[v]:
+                    burnt[v] = True
+                    stack.append(v)
+    return burnt, heat
 
 
 @dataclass(frozen=True)
@@ -110,12 +119,13 @@ def q_reduce(divisor: Divisor, q) -> ReducedDivisor:
 
 def principal_lattice(graph: Graph) -> IntegerLattice:
     """The lattice of principal divisors, spanned by the firing moves."""
-    lattice = graph._cache.get("principal_lattice")
-    if lattice is None:
-        lattice = IntegerLattice(graph.vertex_count)
-        for v in graph.vertex_ids:
-            lattice.add(firing_divisor(graph, v).coeffs)
-        graph._cache["principal_lattice"] = lattice
+    return graph.memo("principal_lattice", _firing_lattice)
+
+
+def _firing_lattice(graph):
+    lattice = IntegerLattice(graph.vertex_count)
+    for v in graph.vertex_ids:
+        lattice.add(firing_divisor(graph, v).coeffs)
     return lattice
 
 
@@ -141,14 +151,7 @@ class PicardStructure:
 def picard_structure(graph: Graph) -> PicardStructure:
     """Invariant factors of Pic^0 via the Smith normal form of a reduced
     Laplacian; the group order equals the number of spanning trees."""
-    n = graph.vertex_count
-    rows = []
-    for i in range(1, n):
-        row = [0] * (n - 1)
-        for j in range(1, n):
-            row[j - 1] = graph._degree[i] if i == j else -graph._adj[i][j]
-        rows.append(row)
-    diag = smith_normal_form(rows)
+    diag = smith_normal_form(graph.reduced_laplacian())
     order = 1
     for d in diag:
         order *= d
@@ -160,44 +163,31 @@ def superstable_configs(graph: Graph, q: int):
     """All q-superstable configurations (coefficients on V - {q}), i.e.
     the vectors fixed by the burning test; exactly one per divisor class.
     Returned in lexicographic order of the full coefficient vector with
-    0 at q."""
+    0 at q.
+
+    Superstables are closed under lowering any coefficient, so the search
+    runs like an odometer that raises the last vertex first: once a raised
+    value fails to burn with zeros after it, so do all larger values and
+    all their completions, and the search resets it and raises the vertex
+    before. Every burn is on a superstable plus one chip.
+    """
     n = graph.vertex_count
     others = [v for v in range(n) if v != q]
-    nbrs = graph._neighbors
-    deg = graph._degree
-
-    found = []
+    nbrs = graph.neighbors
+    deg = graph.degrees
     config = [0] * n
-
-    def burns_completely():
-        burnt = [False] * n
-        burnt[q] = True
-        heat = [0] * n
-        stack = [q]
-        nburnt = 1
-        while stack:
-            b = stack.pop()
-            for v, m in nbrs[b]:
-                if not burnt[v]:
-                    heat[v] += m
-                    if heat[v] > config[v]:
-                        burnt[v] = True
-                        nburnt += 1
-                        stack.append(v)
-        return nburnt == n
-
-    def rec(k):
-        if k == len(others):
-            if burns_completely():
-                found.append(tuple(config))
-            return
+    found = [tuple(config)]
+    # invariant: config is superstable and zero on others[k + 1:]
+    k = len(others) - 1
+    while k >= 0:
         v = others[k]
-        for c in range(deg[v]):
-            config[v] = c
-            rec(k + 1)
-        config[v] = 0
-
-    rec(0)
+        config[v] += 1
+        if config[v] < deg[v] and all(_burn(nbrs, config, q)[0]):
+            found.append(tuple(config))
+            k = len(others) - 1
+        else:
+            config[v] = 0
+            k -= 1
     return found
 
 

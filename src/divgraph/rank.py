@@ -31,6 +31,7 @@ from .errors import (
     RequiresWeightlessLoopless,
 )
 from .graphs import Graph
+from .intmat import compositions
 from .picard import is_equivalent, reduce_coeffs
 
 DEFAULT_DEGREE_CAP = 30
@@ -105,26 +106,11 @@ class _RankEngine:
 
 
 def _engine(graph: Graph) -> _RankEngine:
-    eng = graph._cache.get("rank_engine")
-    if eng is None:
-        eng = _RankEngine(graph)
-        graph._cache["rank_engine"] = eng
-    return eng
-
-
-def _compositions(total, length):
-    """All length-tuples of nonnegative ints summing to total, in
-    ascending lexicographic order."""
-    if length == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, length - 1):
-            yield (head,) + tail
+    return graph.memo("rank_engine", _RankEngine)
 
 
 def _witness(engine, coeffs, value):
-    for e in _compositions(value + 1, engine.n):
+    for e in compositions(value + 1, engine.n):
         rem = tuple(a - b for a, b in zip(coeffs, e))
         if not engine.class_effective(rem):
             return Divisor(engine.graph, e)
@@ -149,16 +135,9 @@ def is_class_effective(divisor: Divisor) -> bool:
 def rank_weightless(
     divisor: Divisor, *, with_witness: bool = False, max_degree: int = DEFAULT_DEGREE_CAP
 ) -> RankResult:
-    """Exact rank on a weightless loopless graph."""
+    """Exact rank on a weightless loopless graph, which is its own model."""
     _require_plain(divisor.graph)
-    if divisor.degree > max_degree:
-        raise DegreeCapExceeded(
-            f"degree {divisor.degree} exceeds the search cap {max_degree}"
-        )
-    engine = _engine(divisor.graph)
-    value = engine.rank(divisor.coeffs)
-    witness = _witness(engine, divisor.coeffs, value) if with_witness else None
-    return RankResult(value, witness)
+    return rank(divisor.graph, divisor, with_witness=with_witness, max_degree=max_degree)
 
 
 def rank(
@@ -193,14 +172,18 @@ def riemann_roch_check(graph: Graph, divisor: Divisor) -> bool:
     return r_d - r_res == divisor.degree - graph.genus() + 1
 
 
+def check_clifford_degree(graph: Graph, degree: int) -> None:
+    """Raise DegreeOutOfRange unless 0 <= degree <= 2g - 2, the range
+    where Clifford's bound applies."""
+    two_g = 2 * graph.genus()
+    if not 0 <= degree <= two_g - 2:
+        raise DegreeOutOfRange(f"degree {degree} outside [0, {two_g - 2}]")
+
+
 def clifford_check(graph: Graph, divisor: Divisor) -> bool:
     """Check rank(d) <= degree/2 for 0 <= degree <= 2g - 2 (exact
     integer comparison, no division)."""
-    two_g = 2 * graph.genus()
-    if not 0 <= divisor.degree <= two_g - 2:
-        raise DegreeOutOfRange(
-            f"degree {divisor.degree} outside [0, {two_g - 2}]"
-        )
+    check_clifford_degree(graph, divisor.degree)
     return 2 * rank(graph, divisor).value <= divisor.degree
 
 
@@ -218,21 +201,11 @@ def certify_rank_below(graph: Graph, divisor: Divisor, v, r: int) -> bool:
     coeffs = divisor.coeffs
     if coeffs[vi] >= r:
         return False
-    n = graph.vertex_count
-    adj = graph._adj
-    deg = graph._degree
-    others = [i for i in range(n) if i != vi]
+    others = [i for i in range(graph.vertex_count) if i != vi]
     m = len(others)
     for mask in range(1, 1 << m):
         zs = [others[k] for k in range(m) if mask >> k & 1]
-        chips = sum(coeffs[i] for i in zs)
-        inside = 0
-        for a in range(len(zs)):
-            row = adj[zs[a]]
-            for b in range(a + 1, len(zs)):
-                inside += row[zs[b]]
-        cut = sum(deg[i] for i in zs) - 2 * inside
-        if chips >= cut:
+        if sum(coeffs[i] for i in zs) >= graph.cut_size(zs):
             return False
     return True
 

@@ -97,24 +97,12 @@ class _BalanceContext:
         self.k_coeffs = canonical_divisor(graph).coeffs
         self.two_g_minus_2 = 2 * graph.genus() - 2
         n = graph.vertex_count
-        adj = graph._adj
-        deg = graph._degree
-        subsets = []
-        for mask in range(1, (1 << n) - 1):
-            zs = tuple(i for i in range(n) if mask >> i & 1)
-            subsets.append(zs)
-        subsets.sort()
-        entries = []
-        for zs in subsets:
-            inside = 0
-            for a in range(len(zs)):
-                row = adj[zs[a]]
-                for b in range(a + 1, len(zs)):
-                    inside += row[zs[b]]
-            cut = sum(deg[i] for i in zs) - 2 * inside
-            k_z = sum(self.k_coeffs[i] for i in zs)
-            entries.append((zs, k_z, cut))
-        self.entries = entries
+        subsets = sorted(
+            tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, (1 << n) - 1)
+        )
+        self.entries = [
+            (zs, sum(self.k_coeffs[i] for i in zs), graph.cut_size(zs)) for zs in subsets
+        ]
         self.special = tuple(
             i
             for i, v in enumerate(graph.vertex_ids)
@@ -142,11 +130,7 @@ class _BalanceContext:
 
 
 def _balance_ctx(graph: Graph) -> _BalanceContext:
-    ctx = graph._cache.get("balance_ctx")
-    if ctx is None:
-        ctx = _BalanceContext(graph)
-        graph._cache["balance_ctx"] = ctx
-    return ctx
+    return graph.memo("balance_ctx", _BalanceContext)
 
 
 def balance_bound(graph: Graph, degree: int, zs) -> Fraction:

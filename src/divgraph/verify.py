@@ -124,15 +124,12 @@ def _box(n, coeff_bound):
     return product(range(-coeff_bound, coeff_bound + 1), repeat=n)
 
 
-def _support_key(graph):
-    """Non-loop adjacency signature; equivalence-level suites dedupe on it."""
-    return tuple(tuple(row) for row in graph._adj)
-
-
 def _dedupe_by_support(items):
+    """The first graph of each non-loop adjacency: the equivalence-level
+    suites read nothing else."""
     seen = set()
     for gidx, g in items:
-        key = _support_key(g)
+        key = g.adjacency
         if key not in seen:
             seen.add(key)
             yield gidx, g
@@ -177,7 +174,7 @@ def _suite_contraction_complexity(items, params):
         rec.check(g.complexity() == spanning_tree_count(g), gidx,
                   lambda: f"{_graph_blob(g)} determinant vs brute tree count")
         seen_pairs = set()
-        for e, (i, j) in enumerate(g._edge_pairs):
+        for e, (i, j) in enumerate(g.edge_pairs):
             if i == j or (i, j) in seen_pairs:
                 continue
             seen_pairs.add((i, j))
@@ -495,7 +492,7 @@ def _suite_contraction_pushforward(items, params):
         if n == 1:
             continue
         seen_pairs = set()
-        for e, (i, j) in enumerate(g._edge_pairs):
+        for e, (i, j) in enumerate(g.edge_pairs):
             if i == j or (i, j) in seen_pairs:
                 continue
             seen_pairs.add((i, j))

@@ -24,7 +24,7 @@ class TestEnumeration:
             g for g in graphs
             if g.vertex_count == 4
             and not any(g.loop_count(v) for v in g.vertex_ids)
-            and all(m <= 1 for row in g._adj for m in row)
+            and all(m <= 1 for row in g.adjacency for m in row)
         ]
         assert len(simple) == 6
 
@@ -45,7 +45,7 @@ class TestEnumeration:
                 w = tuple(g.weights[perm[i]] for i in range(n))
                 edges = tuple(sorted(
                     tuple(sorted((perm.index(i), perm.index(j))))
-                    for i, j in g._edge_pairs
+                    for i, j in g.edge_pairs
                 ))
                 cand = (n, w, edges)
                 canon = cand if canon is None or cand < canon else canon

@@ -1,6 +1,11 @@
+import re
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from divgraph import Graph
+from divgraph.corpus import connected_multigraphs
 from divgraph.errors import (
     DisconnectedGraph,
     LoopInContractionSet,
@@ -8,6 +13,7 @@ from divgraph.errors import (
     UnknownEdge,
     UnknownVertexId,
 )
+from divgraph.graphs import DisjointSets
 from divgraph.oracles import spanning_tree_count
 
 from conftest import binary, cycle, single_vertex
@@ -242,3 +248,50 @@ class TestComplexity:
     def test_matches_brute_enumeration(self, triangle_doubled):
         assert triangle_doubled.complexity() == spanning_tree_count(triangle_doubled)
         assert triangle_doubled.complexity() == 5
+
+
+class TestAdjacencyView:
+    def test_other_modules_read_no_private_graph_state(self):
+        # every module but graphs.py goes through the public view
+        private = re.compile(r"\._(adj|neighbors|degree|edge_pairs|loops|cache)\b")
+        package = Path(__file__).resolve().parent.parent / "src" / "divgraph"
+        offending = [
+            f"{path.name}:{number}: {line.strip()}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "graphs.py"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if private.search(line)
+        ]
+        assert offending == []
+
+    def test_cut_size_is_the_intersection_with_the_complement(self):
+        for g in connected_multigraphs(4, 6, 2):
+            ids = g.vertex_ids
+            everything = set(ids)
+            for size in range(1, g.vertex_count):
+                for zs in combinations(range(g.vertex_count), size):
+                    names = {ids[i] for i in zs}
+                    assert g.cut_size(zs) == g.intersection(names, everything - names)
+
+    def test_view(self, triangle_doubled):
+        g = triangle_doubled
+        assert g.adjacency == ((0, 2, 1), (2, 0, 1), (1, 1, 0))
+        assert g.neighbors == (((1, 2), (2, 1)), ((0, 2), (2, 1)), ((0, 1), (1, 1)))
+        assert g.degrees == (3, 3, 2)
+        assert g.edge_pairs == ((0, 1), (0, 1), (0, 2), (1, 2))
+        assert g.reduced_laplacian() == ((3, -1), (-1, 2))
+
+    def test_memo_builds_once(self, binary2):
+        built = []
+        for _ in range(2):
+            assert binary2.memo("probe", lambda g: built.append(g) or len(built)) == 1
+        assert built == [binary2]
+
+
+class TestDisjointSets:
+    def test_sets_are_rooted_at_their_smallest_member(self):
+        sets = DisjointSets(5)
+        assert sets.union(3, 4)
+        assert sets.union(4, 1)
+        assert not sets.union(1, 3)
+        assert [sets.find(i) for i in range(5)] == [0, 1, 2, 1, 1]

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,23 @@ class TestCliWorkflows:
     def test_clifford_true(self, capsys):
         code = main(["clifford", fixture("binary_g2.json"), "--divisor", "unit"])
         assert code == 0
+
+    @pytest.mark.parametrize("command, ranks", [("rr-check", 2), ("clifford", 1)])
+    def test_each_rank_is_computed_once(self, command, ranks, monkeypatch, capsys):
+        # the package attribute divgraph.rank is the function, so the
+        # submodule comes from sys.modules
+        rank_module = sys.modules["divgraph.rank"]
+        calls = []
+        honest = rank_module.rank
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(sys.modules["divgraph.cli"], "rank", counted)
+        monkeypatch.setattr(rank_module, "rank", counted)
+        assert main([command, fixture("binary_g2.json"), "--divisor", "unit"]) == 0
+        assert len(calls) == ranks
 
     def test_semibalance_rep(self, capsys):
         code = main(["semibalance-rep", fixture("binary_g2.json"),

@@ -11,8 +11,10 @@ from divgraph import (
     picard_structure,
     q_reduce,
 )
+from divgraph.corpus import connected_multigraphs
 from divgraph.errors import EnumerationCapExceeded, GraphMismatch
 from divgraph.oracles import equivalent_by_firing, spanning_tree_count
+from divgraph.picard import reduce_coeffs, superstable_configs
 
 from conftest import cycle, single_vertex
 
@@ -190,3 +192,29 @@ class TestEnumerateClasses:
     def test_cap(self, binary2):
         with pytest.raises(EnumerationCapExceeded):
             enumerate_classes(binary2, 0, cap=2)
+
+    def test_forty_cycle(self):
+        # 2^39 configurations lie below the valency bound; 40 are superstable
+        g = cycle(40)
+        reps = enumerate_classes(g, 1)
+        assert len(reps) == 40
+        for rep in reps:
+            assert q_reduce(rep, "v1").base == rep
+
+
+class TestSuperstables:
+    def test_match_the_fixed_points_of_reduction(self):
+        # brute force over the box below the valency bound: a configuration
+        # is superstable iff q-reduction leaves it unchanged
+        for g in connected_multigraphs(4, 5, 0)[::3]:
+            n = g.vertex_count
+            for q in range(n):
+                box = [range(g.degrees[v]) if v != q else (0,) for v in range(n)]
+                fixed = [c for c in product(*box) if reduce_coeffs(g, c, q) == c]
+                assert superstable_configs(g, q) == fixed
+
+    def test_long_path_needs_no_recursion(self):
+        # deeper than the interpreter's default recursion limit
+        ids = [f"v{i}" for i in range(1100)]
+        path = Graph(ids, list(zip(ids, ids[1:])))
+        assert superstable_configs(path, 0) == [(0,) * 1100]
