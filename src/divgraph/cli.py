@@ -10,6 +10,8 @@ strings.
 """
 
 import argparse
+import functools
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -266,6 +268,7 @@ def _cmd_verify(args):
 # -- parser -----------------------------------------------------------------
 
 
+@functools.cache  # built on the first call, then shared: parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="divgraph",
@@ -345,13 +348,16 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except DivisorGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
+    finally:
+        # a graph's memos (rank engine, loopless model) point back at it, so only
+        # the cycle collector frees it: free this query's graphs now, not later
+        gc.collect(1)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ moves inside a bounded coefficient box.
 
 from itertools import combinations, product
 
-from .divisors import Divisor
+from .divisors import Divisor, firing_divisor
 from .graphs import DisjointSets, Graph
 from .intmat import compositions
 from .picard import principal_lattice
@@ -92,13 +92,7 @@ class FiringComponents:
         sets = DisjointSets(radix**n)
         union = sets.union
 
-        moves = []
-        for i in range(n):
-            delta = [0] * n
-            delta[i] = -graph.degrees[i]
-            for j, m in graph.neighbors[i]:
-                delta[j] = m
-            moves.append(tuple(delta))
+        moves = [firing_divisor(graph, v).coeffs for v in graph.vertex_ids]
 
         for idx, coeffs in enumerate(product(range(-bound, bound + 1), repeat=n)):
             for delta in moves:

@@ -14,16 +14,22 @@ Two structural facts keep the sweeps honest while trimming repeated work:
   * rank and genus do depend on weights and loops, so the rank-level
     suites sweep the full corpus.
 
-Suites can be sharded across worker processes: shards are dealt
-round-robin by corpus index, children rebuild the corpus from its
-parameters (cheap, cached per process), and the merged counterexample is
-the one with the smallest corpus index, so results are independent of the
-worker count. One pool is reused across suites so each worker keeps its
-memoised rank ladders warm.
+Only three sweep sizes vary per run, ``run_all``'s ``coeff_bound``,
+``max_degree`` and ``random_functions``; the others are module constants.
+
+Each suite runs as shards of corpus indices: one inline, or one per
+worker for the heavy suites when ``workers > 1``. Whole adjacencies are
+dealt round-robin, so a suite that sweeps each adjacency once sees it in
+one shard; children rebuild the corpus from its parameters (cheap, cached
+per process), and the merged counterexample is the one with the smallest
+corpus index, so results are independent of the worker count. One pool
+is reused across suites so each worker keeps its memoised rank ladders
+warm.
 """
 
 import json
 import random
+import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -59,6 +65,24 @@ from .transforms import (
 
 SEED = 20260810
 
+# Sweep sizes; run_all's coeff_bound and random_functions replace the first two.
+COEFF_BOUND = 3  # divisor coefficients in [-3, 3]
+RANDOM_FUNCTIONS = 1000  # random rational functions per adjacency
+VALUE_BOUND = 6  # random function values in [-6, 6]
+ADDITIVITY_SAMPLE = 60  # leading random functions also tested for additivity
+SLACK = 3  # firing-component box beyond the coefficient box
+MAX_BOUND = 12  # largest firing-component box an escalation reaches
+REDUCTION_COEFF_BOUND = 2  # divisor box of the reduction suite
+PAIRWISE_CAP = 30  # class representatives compared pairwise up to this order
+INVARIANCE_SAMPLE = 30  # swept divisors moved by every firing move
+KZ_SAMPLE = 20  # swept divisors tried against the cut certificate
+REPS_CAP = 14  # effective classes paired by the superadditivity suite
+PUSHFORWARD_DEGREE_BOUND = 4  # largest |degree| pushed across a bridge
+BRIDGE_DIVISOR_SAMPLE = 40  # divisors pushed across each bridge
+ORACLE_COEFF_BOUND = 2  # divisor box of the definitional rank oracle,
+ORACLE_MAX_MODEL = 5  # its largest loopless model
+ORACLE_MAX_DEGREE = 3  # and its largest degree
+
 
 @dataclass
 class SuiteResult:
@@ -88,27 +112,30 @@ def _graph_blob(graph):
 
 
 class _Recorder:
-    """Accumulates checks/violations and the first counterexample."""
+    """Accumulates checks/violations and the first counterexample, which
+    names the corpus graph being swept (see ``each``)."""
 
     def __init__(self):
         self.checked = 0
         self.violations = 0
         self.first = None  # (corpus index, description)
+        self._gidx, self._graph = 0, None
 
-    def check(self, ok, gidx, describe):
+    def each(self, items):
+        """Yield the (corpus index, graph) pairs, making each in turn the
+        subject of the checks."""
+        for self._gidx, self._graph in items:
+            yield self._gidx, self._graph
+
+    def check(self, ok, describe):
         self.checked += 1
         if not ok:
             self.violations += 1
             if self.first is None:
-                self.first = (gidx, describe())
-
-    def result(self, name):
-        return SuiteResult(
-            name,
-            self.checked,
-            self.violations,
-            self.first[1] if self.first else None,
-        )
+                text = describe()
+                if self._graph is not None:
+                    text = f"{_graph_blob(self._graph)} {text}"
+                self.first = (self._gidx, text)
 
 
 def _degree_window(graph, max_degree):
@@ -135,70 +162,68 @@ def _dedupe_by_support(items):
             yield gidx, g
 
 
+def _distinct_edges(graph):
+    """The first edge between each pair of distinct vertices, by index:
+    the single-edge contractions worth sweeping."""
+    first = {}
+    for e, (i, j) in enumerate(graph.edge_pairs):
+        if i != j:
+            first.setdefault((i, j), e)
+    return first.values()
+
+
 # --------------------------------------------------------------------------
-# suite bodies; each takes [(corpus_index, graph), ...] plus a params dict
+# suite bodies; each takes [(corpus_index, graph), ...] plus a dict that may
+# set the per-run sweep sizes "coeff_bound", "max_degree", "random_functions"
 
 
 def _suite_graph_invariants(items, params):
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         model = g.loopless_model()
-        rec.check(model.model.genus() == g.genus(), gidx,
-                  lambda: f"{_graph_blob(g)} model genus differs")
-        rec.check(model.model.is_weightless_loopless(), gidx,
-                  lambda: f"{_graph_blob(g)} model keeps weights or loops")
-        rec.check(model.model.loopless_model().model is model.model, gidx,
-                  lambda: f"{_graph_blob(g)} model not idempotent")
+        rec.check(model.model.genus() == g.genus(), lambda: "model genus differs")
+        rec.check(model.model.is_weightless_loopless(), lambda: "model keeps weights or loops")
+        rec.check(model.model.loopless_model().model is model.model,
+                  lambda: "model not idempotent")
         if g.is_weightless_loopless():
-            rec.check(model.model is g, gidx,
-                      lambda: f"{_graph_blob(g)} plain graph is not its own model")
+            rec.check(model.model is g, lambda: "plain graph is not its own model")
         k = canonical_divisor(g)
-        rec.check(k.degree == 2 * g.genus() - 2, gidx,
-                  lambda: f"{_graph_blob(g)} canonical degree {k.degree}")
+        rec.check(k.degree == 2 * g.genus() - 2, lambda: f"canonical degree {k.degree}")
         n = g.vertex_count
         ids = g.vertex_ids
         full = set(ids)
-        rec.check(g.intersection(full, full) == 0, gidx,
-                  lambda: f"{_graph_blob(g)} (V.V) != 0")
+        rec.check(g.intersection(full, full) == 0, lambda: "(V.V) != 0")
         for mask in range(1, 1 << n):
             zs = {ids[i] for i in range(n) if mask >> i & 1}
             ok = g.intersection(zs, zs) == -g.intersection(zs, full - zs)
-            rec.check(ok, gidx,
-                      lambda zs=zs: f"{_graph_blob(g)} (Z.Z) identity fails for {sorted(zs)}")
+            rec.check(ok, lambda zs=zs: f"(Z.Z) identity fails for {sorted(zs)}")
     return rec
 
 
 def _suite_contraction_complexity(items, params):
     rec = _Recorder()
-    for gidx, g in items:
-        rec.check(g.complexity() == spanning_tree_count(g), gidx,
-                  lambda: f"{_graph_blob(g)} determinant vs brute tree count")
-        seen_pairs = set()
-        for e, (i, j) in enumerate(g.edge_pairs):
-            if i == j or (i, j) in seen_pairs:
-                continue
-            seen_pairs.add((i, j))
+    for gidx, g in rec.each(items):
+        rec.check(g.complexity() == spanning_tree_count(g),
+                  lambda: "determinant vs brute tree count")
+        for e in _distinct_edges(g):
             cm = g.contract({e})
-            rec.check(cm.target.genus() == g.genus(), gidx,
-                      lambda e=e: f"{_graph_blob(g)} contracting edge {e} changes genus")
+            rec.check(cm.target.genus() == g.genus(),
+                      lambda e=e: f"contracting edge {e} changes genus")
             avoiding = spanning_trees_avoiding(g, e)
-            rec.check(g.complexity() == cm.target.complexity() + avoiding, gidx,
-                      lambda e=e: f"{_graph_blob(g)} deletion/contraction count fails at edge {e}")
+            rec.check(g.complexity() == cm.target.complexity() + avoiding,
+                      lambda e=e: f"deletion/contraction count fails at edge {e}")
             if g.is_bridge(e):
-                rec.check(avoiding == 0, gidx,
-                          lambda e=e: f"{_graph_blob(g)} bridge {e} avoided by a tree")
+                rec.check(avoiding == 0, lambda e=e: f"bridge {e} avoided by a tree")
             else:
-                rec.check(cm.target.complexity() < g.complexity(), gidx,
-                          lambda e=e: f"{_graph_blob(g)} non-bridge {e} keeps complexity")
+                rec.check(cm.target.complexity() < g.complexity(),
+                          lambda e=e: f"non-bridge {e} keeps complexity")
     return rec
 
 
 def _suite_principal_divisors(items, params):
-    functions = params.get("random_functions", 1000)
-    value_bound = params.get("value_bound", 6)
-    additivity_sample = params.get("additivity_sample", 60)
+    functions = params.get("random_functions", RANDOM_FUNCTIONS)
     rec = _Recorder()
-    for gidx, g in _dedupe_by_support(items):
+    for gidx, g in rec.each(_dedupe_by_support(items)):
         n = g.vertex_count
         ids = g.vertex_ids
         rng = random.Random(SEED + gidx)
@@ -206,60 +231,53 @@ def _suite_principal_divisors(items, params):
         total = Divisor.zero(g)
         for v in ids:
             indicator = RationalFunction(g, tuple(-1 if u == v else 0 for u in ids))
-            rec.check(indicator.divisor() == firing_divisor(g, v), gidx,
-                      lambda v=v: f"{_graph_blob(g)} firing move of {v} != div(-1_v)")
+            rec.check(indicator.divisor() == firing_divisor(g, v),
+                      lambda v=v: f"firing move of {v} != div(-1_v)")
             total = total + firing_divisor(g, v)
-        rec.check(total == Divisor.zero(g), gidx,
-                  lambda: f"{_graph_blob(g)} firing moves do not sum to zero")
+        rec.check(total == Divisor.zero(g), lambda: "firing moves do not sum to zero")
         # any n-1 firing moves generate the whole principal lattice
         for skip in range(n):
             partial = IntegerLattice(n)
             for i, v in enumerate(ids):
                 if i != skip:
                     partial.add(firing_divisor(g, v).coeffs)
-            rec.check(firing_divisor(g, ids[skip]).coeffs in partial, gidx,
-                      lambda skip=skip:
-                      f"{_graph_blob(g)} moves without {ids[skip]} do not generate")
+            rec.check(firing_divisor(g, ids[skip]).coeffs in partial,
+                      lambda skip=skip: f"moves without {ids[skip]} do not generate")
         expected_rank = n - 1 if n > 1 else 0
-        rec.check(principal_lattice(g).rank == expected_rank, gidx,
-                  lambda: f"{_graph_blob(g)} principal lattice rank")
+        rec.check(principal_lattice(g).rank == expected_rank, lambda: "principal lattice rank")
         # random functions: degree zero, additivity, minimum-set inequality
         for t in range(functions):
-            values = tuple(rng.randint(-value_bound, value_bound) for _ in range(n))
+            values = tuple(rng.randint(-VALUE_BOUND, VALUE_BOUND) for _ in range(n))
             f = RationalFunction(g, values)
             div = f.divisor()
-            rec.check(div.degree == 0, gidx,
-                      lambda values=values: f"{_graph_blob(g)} div degree != 0 for f={values}")
+            rec.check(div.degree == 0, lambda values=values: f"div degree != 0 for f={values}")
             if len(set(values)) > 1:
                 low = min(values)
                 zs = {ids[i] for i in range(n) if values[i] == low}
                 cut = g.intersection(zs, set(ids) - zs)
                 ok = div.restrict(zs) <= -cut and all(div[v] <= 0 for v in zs)
-                rec.check(ok, gidx,
-                          lambda values=values:
-                          f"{_graph_blob(g)} min-set inequality fails for f={values}")
-            if t < additivity_sample:
-                values2 = tuple(rng.randint(-value_bound, value_bound) for _ in range(n))
+                rec.check(ok,
+                          lambda values=values: f"min-set inequality fails for f={values}")
+            if t < ADDITIVITY_SAMPLE:
+                values2 = tuple(rng.randint(-VALUE_BOUND, VALUE_BOUND) for _ in range(n))
                 f2 = RationalFunction(g, values2)
                 ok = (f + f2).divisor() == div + f2.divisor() and (-f).divisor() == -div
-                rec.check(ok, gidx,
+                rec.check(ok,
                           lambda values=values, values2=values2:
-                          f"{_graph_blob(g)} additivity fails for {values}, {values2}")
+                          f"additivity fails for {values}, {values2}")
     return rec
 
 
 def _suite_equivalence_oracles(items, params):
-    coeff_bound = params.get("coeff_bound", 3)
-    slack = params.get("slack", 3)
-    max_bound = params.get("max_bound", 12)
+    coeff_bound = params.get("coeff_bound", COEFF_BOUND)
     rec = _Recorder()
-    for gidx, g in _dedupe_by_support(items):
+    for gidx, g in rec.each(_dedupe_by_support(items)):
         n = g.vertex_count
         lattice = principal_lattice(g)
         by_degree = {}
         for coeffs in _box(n, coeff_bound):
             by_degree.setdefault(sum(coeffs), []).append(coeffs)
-        components = FiringComponents(g, coeff_bound + slack)
+        components = FiringComponents(g, coeff_bound + SLACK)
         for degree in sorted(by_degree):
             canon = {}
             for coeffs in by_degree[degree]:
@@ -268,17 +286,15 @@ def _suite_equivalence_oracles(items, params):
             # escalate the box when moves need more room to connect
             for red, members in sorted(canon.items()):
                 roots = {components.root(c) for c in members}
-                while len(roots) > 1 and components.bound < max_bound:
+                while len(roots) > 1 and components.bound < MAX_BOUND:
                     components = FiringComponents(g, components.bound + 3)
                     roots = {components.root(c) for c in members}
-                rec.check(len(roots) == 1, gidx,
-                          lambda red=red: f"{_graph_blob(g)} firing search splits class {red}")
+                rec.check(len(roots) == 1, lambda red=red: f"firing search splits class {red}")
                 rep = members[0]
                 for c in members[1:]:
                     diff = tuple(a - b for a, b in zip(c, rep))
-                    rec.check(diff in lattice, gidx,
-                              lambda c=c, rep=rep:
-                              f"{_graph_blob(g)} lattice rejects {c} ~ {rep}")
+                    rec.check(diff in lattice,
+                              lambda c=c, rep=rep: f"lattice rejects {c} ~ {rep}")
             # distinct canonical forms must be inequivalent for all three
             # (component roots are compared through in-box members; the
             # reduced forms themselves may leave the box)
@@ -286,82 +302,73 @@ def _suite_equivalence_oracles(items, params):
             for a in range(len(reps)):
                 for b in range(a + 1, len(reps)):
                     diff = tuple(x - y for x, y in zip(reps[a], reps[b]))
-                    rec.check(diff not in lattice, gidx,
+                    rec.check(diff not in lattice,
                               lambda a=a, b=b, reps=reps:
-                              f"{_graph_blob(g)} lattice merges {reps[a]} and {reps[b]}")
+                              f"lattice merges {reps[a]} and {reps[b]}")
                     rec.check(
                         components.root(canon[reps[a]][0])
                         != components.root(canon[reps[b]][0]),
-                        gidx,
                         lambda a=a, b=b, reps=reps:
-                        f"{_graph_blob(g)} firing search merges {reps[a]} and {reps[b]}")
+                        f"firing search merges {reps[a]} and {reps[b]}")
     return rec
 
 
 def _suite_reduction(items, params):
-    coeff_bound = params.get("reduction_coeff_bound", 2)
     rec = _Recorder()
-    for gidx, g in _dedupe_by_support(items):
+    for gidx, g in rec.each(_dedupe_by_support(items)):
         ids = g.vertex_ids
         q = ids[0]
-        for coeffs in _box(g.vertex_count, coeff_bound):
+        for coeffs in _box(g.vertex_count, REDUCTION_COEFF_BOUND):
             d = Divisor(g, coeffs)
             red = q_reduce(d, q)
-            rec.check(q_reduce(red.base, q).base == red.base, gidx,
-                      lambda coeffs=coeffs: f"{_graph_blob(g)} reduce not idempotent at {coeffs}")
-            rec.check(all(c >= 0 for i, c in enumerate(red.coeffs) if i != 0), gidx,
-                      lambda coeffs=coeffs: f"{_graph_blob(g)} reduce leaves negatives at {coeffs}")
-            rec.check(is_equivalent(d, red.base), gidx,
-                      lambda coeffs=coeffs: f"{_graph_blob(g)} reduce leaves the class at {coeffs}")
+            rec.check(q_reduce(red.base, q).base == red.base,
+                      lambda coeffs=coeffs: f"reduce not idempotent at {coeffs}")
+            rec.check(all(c >= 0 for i, c in enumerate(red.coeffs) if i != 0),
+                      lambda coeffs=coeffs: f"reduce leaves negatives at {coeffs}")
+            rec.check(is_equivalent(d, red.base),
+                      lambda coeffs=coeffs: f"reduce leaves the class at {coeffs}")
             for v in ids:
                 shifted = d + firing_divisor(g, v)
-                rec.check(q_reduce(shifted, q).base == red.base, gidx,
+                rec.check(q_reduce(shifted, q).base == red.base,
                           lambda coeffs=coeffs, v=v:
-                          f"{_graph_blob(g)} reduce not class-invariant at {coeffs} + move({v})")
+                          f"reduce not class-invariant at {coeffs} + move({v})")
     return rec
 
 
 def _suite_picard(items, params):
-    pairwise_cap = params.get("pairwise_cap", 30)
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         structure = picard_structure(g)
         trees = g.complexity()
-        rec.check(structure.order == trees, gidx,
-                  lambda: f"{_graph_blob(g)} group order {structure.order} != complexity {trees}")
-        rec.check(trees == spanning_tree_count(g), gidx,
-                  lambda: f"{_graph_blob(g)} complexity vs brute count")
+        rec.check(structure.order == trees,
+                  lambda: f"group order {structure.order} != complexity {trees}")
+        rec.check(trees == spanning_tree_count(g), lambda: "complexity vs brute count")
         factors = structure.invariant_factors
         chain_ok = all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
-        rec.check(chain_ok, gidx,
-                  lambda: f"{_graph_blob(g)} invariant factors not a divisibility chain")
+        rec.check(chain_ok, lambda: "invariant factors not a divisibility chain")
         counts = set()
         for degree in (0, 1, 3):
             reps = enumerate_classes(g, degree)
             counts.add(len(reps))
             for d in reps:
-                rec.check(d.degree == degree, gidx,
-                          lambda degree=degree: f"{_graph_blob(g)} wrong-degree class rep")
-                rec.check(q_reduce(d, g.vertex_ids[0]).base == d, gidx,
-                          lambda d=d: f"{_graph_blob(g)} class rep {d.coeffs} not reduced")
-            if trees <= pairwise_cap:
+                rec.check(d.degree == degree, lambda degree=degree: "wrong-degree class rep")
+                rec.check(q_reduce(d, g.vertex_ids[0]).base == d,
+                          lambda d=d: f"class rep {d.coeffs} not reduced")
+            if trees <= PAIRWISE_CAP:
                 for a in range(len(reps)):
                     for b in range(a + 1, len(reps)):
-                        rec.check(not is_equivalent(reps[a], reps[b]), gidx,
+                        rec.check(not is_equivalent(reps[a], reps[b]),
                                   lambda a=a, b=b, reps=reps:
-                                  f"{_graph_blob(g)} reps {reps[a].coeffs} ~ {reps[b].coeffs}")
-        rec.check(counts == {trees}, gidx,
-                  lambda: f"{_graph_blob(g)} class count varies with degree: {counts}")
+                                  f"reps {reps[a].coeffs} ~ {reps[b].coeffs}")
+        rec.check(counts == {trees}, lambda: f"class count varies with degree: {counts}")
     return rec
 
 
 def _suite_rank_properties(items, params):
-    coeff_bound = params.get("coeff_bound", 3)
+    coeff_bound = params.get("coeff_bound", COEFF_BOUND)
     max_degree = params.get("max_degree")
-    invariance_sample = params.get("invariance_sample", 30)
-    kz_sample = params.get("kz_sample", 20)
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         genus = g.genus()
         n = g.vertex_count
         ids = g.vertex_ids
@@ -378,57 +385,55 @@ def _suite_rank_properties(items, params):
             swept.append(coeffs)
             value = eng.rank(model.embed_coeffs(coeffs))
             d = Divisor(g, coeffs)
-            rec.check(value <= max(-1, degree), gidx,
+            rec.check(value <= max(-1, degree),
                       lambda coeffs=coeffs, value=value:
-                      f"{_graph_blob(g)} rank {value} above degree bound at {coeffs}")
+                      f"rank {value} above degree bound at {coeffs}")
             if degree < 0:
-                rec.check(value == -1, gidx,
-                          lambda coeffs=coeffs: f"{_graph_blob(g)} negative degree, rank != -1 at {coeffs}")
+                rec.check(value == -1,
+                          lambda coeffs=coeffs: f"negative degree, rank != -1 at {coeffs}")
             if degree >= 2 * genus - 1:
-                rec.check(value == degree - genus, gidx,
+                rec.check(value == degree - genus,
                           lambda coeffs=coeffs, value=value:
-                          f"{_graph_blob(g)} high-degree rank {value} != d - g at {coeffs}")
+                          f"high-degree rank {value} != d - g at {coeffs}")
             if degree == 0:
                 principal = is_equivalent(d, zero)
-                rec.check(value == (0 if principal else -1), gidx,
+                rec.check(value == (0 if principal else -1),
                           lambda coeffs=coeffs, value=value:
-                          f"{_graph_blob(g)} degree-0 dichotomy fails at {coeffs}")
+                          f"degree-0 dichotomy fails at {coeffs}")
             if degree == 2 * genus - 2:
                 ok = value <= genus - 1 and (value == genus - 1) == is_equivalent(d, k)
-                rec.check(ok, gidx,
+                rec.check(ok,
                           lambda coeffs=coeffs, value=value:
-                          f"{_graph_blob(g)} canonical-degree dichotomy fails at {coeffs}")
+                          f"canonical-degree dichotomy fails at {coeffs}")
             if 0 <= degree <= 2 * genus - 2:
-                rec.check(2 * value <= degree, gidx,
-                          lambda coeffs=coeffs, value=value:
-                          f"{_graph_blob(g)} Clifford fails at {coeffs}")
+                rec.check(2 * value <= degree,
+                          lambda coeffs=coeffs, value=value: f"Clifford fails at {coeffs}")
         # rank is constant on classes: translate by firing moves
-        for coeffs in swept[:invariance_sample]:
+        for coeffs in swept[:INVARIANCE_SAMPLE]:
             base = eng.rank(model.embed_coeffs(coeffs))
             for v in ids:
                 shifted = tuple(a + b for a, b in zip(coeffs, firing_divisor(g, v).coeffs))
-                rec.check(eng.rank(model.embed_coeffs(shifted)) == base, gidx,
-                          lambda coeffs=coeffs, v=v:
-                          f"{_graph_blob(g)} rank changes under move({v}) at {coeffs}")
+                rec.check(eng.rank(model.embed_coeffs(shifted)) == base,
+                          lambda coeffs=coeffs, v=v: f"rank changes under move({v}) at {coeffs}")
         # the cut certificate implies the rank bound
-        for coeffs in swept[:kz_sample]:
+        for coeffs in swept[:KZ_SAMPLE]:
             d = Divisor(g, coeffs)
             for v in ids:
                 for r in range(3):
                     if certify_rank_below(g, d, v, r):
                         value = eng.rank(model.embed_coeffs(coeffs))
-                        rec.check(value <= r - 1, gidx,
+                        rec.check(value <= r - 1,
                                   lambda coeffs=coeffs, v=v, r=r, value=value:
-                                  f"{_graph_blob(g)} cut certificate ({v}, r={r}) "
+                                  f"cut certificate ({v}, r={r}) "
                                   f"but rank {value} at {coeffs}")
     return rec
 
 
 def _suite_riemann_roch(items, params):
-    coeff_bound = params.get("coeff_bound", 3)
+    coeff_bound = params.get("coeff_bound", COEFF_BOUND)
     max_degree = params.get("max_degree")
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         genus = g.genus()
         lo, hi = _degree_window(g, max_degree)
         model = g.loopless_model()
@@ -441,17 +446,16 @@ def _suite_riemann_roch(items, params):
             emb = model.embed_coeffs(coeffs)
             r_d = eng.rank(emb)
             r_res = eng.rank(tuple(a - b for a, b in zip(k_emb, emb)))
-            rec.check(r_d - r_res == degree - genus + 1, gidx,
+            rec.check(r_d - r_res == degree - genus + 1,
                       lambda coeffs=coeffs, r_d=r_d, r_res=r_res:
-                      f"{_graph_blob(g)} identity fails at {coeffs}: {r_d} - ({r_res})")
+                      f"identity fails at {coeffs}: {r_d} - ({r_res})")
     return rec
 
 
 def _suite_superadditivity(items, params):
-    coeff_bound = params.get("coeff_bound", 3)
-    reps_cap = params.get("reps_cap", 14)
+    coeff_bound = params.get("coeff_bound", COEFF_BOUND)
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         genus = g.genus()
         n = g.vertex_count
         model = g.loopless_model()
@@ -468,7 +472,7 @@ def _suite_superadditivity(items, params):
             seen.add(red)
             if eng.rank(red) >= 0:
                 reps.append(red)
-                if len(reps) >= reps_cap:
+                if len(reps) >= REPS_CAP:
                     break
         for a in reps:
             for b in reps:
@@ -476,55 +480,47 @@ def _suite_superadditivity(items, params):
                     continue
                 ra, rb = eng.rank(a), eng.rank(b)
                 rsum = eng.rank(tuple(x + y for x, y in zip(a, b)))
-                rec.check(ra + rb <= rsum, gidx,
+                rec.check(ra + rb <= rsum,
                           lambda a=a, b=b, ra=ra, rb=rb, rsum=rsum:
-                          f"{_graph_blob(g)} superadditivity: {a} ({ra}) + {b} ({rb}) > {rsum}")
+                          f"superadditivity: {a} ({ra}) + {b} ({rb}) > {rsum}")
     return rec
 
 
 def _suite_contraction_pushforward(items, params):
-    degree_bound = params.get("pushforward_degree_bound", 4)
-    coeff_bound = params.get("coeff_bound", 3)
-    sample = params.get("bridge_divisor_sample", 40)
+    coeff_bound = params.get("coeff_bound", COEFF_BOUND)
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         n = g.vertex_count
         if n == 1:
             continue
-        seen_pairs = set()
-        for e, (i, j) in enumerate(g.edge_pairs):
-            if i == j or (i, j) in seen_pairs:
-                continue
-            seen_pairs.add((i, j))
+        for e in _distinct_edges(g):
             cm = g.contract({e})
-            rec.check(verify_prin_pushforward(cm), gidx,
-                      lambda e=e: f"{_graph_blob(g)} pushed principal lattice short at edge {e}")
+            rec.check(verify_prin_pushforward(cm),
+                      lambda e=e: f"pushed principal lattice short at edge {e}")
             d1 = Divisor(g, tuple(range(n)))
             d2 = Divisor(g, tuple((-1) ** t for t in range(n)))
             ok = (
                 push_forward(cm, d1 + d2) == push_forward(cm, d1) + push_forward(cm, d2)
                 and push_forward(cm, d1).degree == d1.degree
             )
-            rec.check(ok, gidx,
-                      lambda e=e: f"{_graph_blob(g)} pushforward not additive at edge {e}")
+            rec.check(ok, lambda e=e: f"pushforward not additive at edge {e}")
             if g.is_bridge(e):
                 qualifying = [
                     coeffs for coeffs in _box(n, coeff_bound)
-                    if abs(sum(coeffs)) <= degree_bound
+                    if abs(sum(coeffs)) <= PUSHFORWARD_DEGREE_BOUND
                 ]
-                stride = max(1, len(qualifying) // sample)
-                for coeffs in qualifying[::stride][:sample]:
+                stride = max(1, len(qualifying) // BRIDGE_DIVISOR_SAMPLE)
+                for coeffs in qualifying[::stride][:BRIDGE_DIVISOR_SAMPLE]:
                     rec.check(
-                        bridge_rank_preservation(cm, Divisor(g, coeffs)), gidx,
-                        lambda coeffs=coeffs, e=e:
-                        f"{_graph_blob(g)} bridge {e} changes rank at {coeffs}")
+                        bridge_rank_preservation(cm, Divisor(g, coeffs)),
+                        lambda coeffs=coeffs, e=e: f"bridge {e} changes rank at {coeffs}")
     return rec
 
 
 def _suite_semibalanced(items, params):
     max_degree = params.get("max_degree")
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         genus = g.genus()
         if genus < 2:
             continue
@@ -539,8 +535,7 @@ def _suite_semibalanced(items, params):
                 try:
                     balanced_rep = find_semibalanced_representative(g, rep)
                 except SearchExhausted:
-                    rec.check(False, gidx,
-                              lambda rep=rep: f"{_graph_blob(g)} search exhausted for {rep.coeffs}")
+                    rec.check(False, lambda rep=rep: f"search exhausted for {rep.coeffs}")
                     continue
                 report = balance_report(g, balanced_rep)
                 ok = (
@@ -548,34 +543,31 @@ def _suite_semibalanced(items, params):
                     and is_equivalent(balanced_rep, rep)
                     and rank(g, balanced_rep).value == degree - genus
                 )
-                rec.check(ok, gidx,
+                rec.check(ok,
                           lambda rep=rep, balanced_rep=balanced_rep:
-                          f"{_graph_blob(g)} bad semibalanced representative "
+                          "bad semibalanced representative "
                           f"{balanced_rep.coeffs} for class {rep.coeffs}")
     return rec
 
 
 def _suite_rank_oracle(items, params):
-    coeff_bound = params.get("oracle_coeff_bound", 2)
-    max_model = params.get("oracle_max_model", 5)
-    max_oracle_degree = params.get("oracle_max_degree", 3)
     rec = _Recorder()
-    for gidx, g in items:
+    for gidx, g in rec.each(items):
         if g.vertex_count > 3 or g.edge_count > 4:
             continue
         model = g.loopless_model()
-        if model.model.vertex_count > max_model:
+        if model.model.vertex_count > ORACLE_MAX_MODEL:
             continue
         eng = _engine(model.model)
-        for coeffs in _box(g.vertex_count, coeff_bound):
-            if not -1 <= sum(coeffs) <= max_oracle_degree:
+        for coeffs in _box(g.vertex_count, ORACLE_COEFF_BOUND):
+            if not -1 <= sum(coeffs) <= ORACLE_MAX_DEGREE:
                 continue
             emb = model.embed_coeffs(coeffs)
             fast = eng.rank(emb)
             slow = rank_by_definition(model.model, Divisor(model.model, emb))
-            rec.check(fast == slow, gidx,
+            rec.check(fast == slow,
                       lambda coeffs=coeffs, fast=fast, slow=slow:
-                      f"{_graph_blob(g)} engine rank {fast} != definitional {slow} at {coeffs}")
+                      f"engine rank {fast} != definitional {slow} at {coeffs}")
     return rec
 
 
@@ -593,8 +585,8 @@ def _suite_semicontinuity_fixture(items, params):
             rank(g, d).value == r_source
             and rank(cm.target, push_forward(cm, d)).value == r_target
         )
-        rec.check(ok, 0, lambda coeffs=coeffs: f"rank jump pair fails at {coeffs}")
-    rec.check(not g.is_bridge(3), 0, lambda: "contracted fixture edge is a bridge")
+        rec.check(ok, lambda coeffs=coeffs: f"rank jump pair fails at {coeffs}")
+    rec.check(not g.is_bridge(3), lambda: "contracted fixture edge is a bridge")
     return rec
 
 
@@ -627,6 +619,17 @@ HEAVY = {
 }
 
 
+def _deal(graphs, shards):
+    """Corpus indices in ``shards`` lists, whole adjacencies dealt
+    round-robin: a suite that sweeps each adjacency once sees it in exactly
+    one shard, as it would inline."""
+    order = {}
+    dealt = [[] for _ in range(shards)]
+    for i, g in enumerate(graphs):
+        dealt[order.setdefault(g.adjacency, len(order)) % shards].append(i)
+    return dealt
+
+
 def _run_shard(args):
     suite_name, corpus_params, indices, params = args
     graphs = connected_multigraphs(*corpus_params)
@@ -636,6 +639,7 @@ def _run_shard(args):
 
 
 def _merge(name, parts):
+    parts = list(parts)
     checked = sum(p[0] for p in parts)
     violations = sum(p[1] for p in parts)
     firsts = [p[2] for p in parts if p[2] is not None]
@@ -644,59 +648,42 @@ def _merge(name, parts):
 
 
 def run_suite(name, *, max_vertices=4, max_edges=6, max_total_weight=2,
-              workers=1, pool=None, **params) -> SuiteResult:
-    import time
-
-    started = time.perf_counter()
-    corpus_params = (max_vertices, max_edges, max_total_weight)
-    graphs = connected_multigraphs(*corpus_params)
-    indices = list(range(len(graphs)))
-    use_pool = pool is not None or (workers > 1 and name in HEAVY)
-    if use_pool and len(indices) > workers > 1:
-        shards = [
-            (name, corpus_params, indices[w::workers], params)
-            for w in range(workers)
-        ]
-        if pool is not None:
-            parts = pool.map(_run_shard, shards)
-        else:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as own_pool:
-                parts = own_pool.map(_run_shard, shards)
-        result = _merge(name, parts)
-    else:
-        rec = SUITES[name]([(i, graphs[i]) for i in indices], params)
-        result = rec.result(name)
-    result.seconds = time.perf_counter() - started
-    return result
+              workers=1, coeff_bound=COEFF_BOUND, max_degree=None,
+              random_functions=RANDOM_FUNCTIONS) -> SuiteResult:
+    """Run one suite; see ``run_all``."""
+    return run_all(suite_names=[name], max_vertices=max_vertices, max_edges=max_edges,
+                   max_total_weight=max_total_weight, workers=workers,
+                   coeff_bound=coeff_bound, max_degree=max_degree,
+                   random_functions=random_functions)[0]
 
 
 def run_all(*, max_vertices=4, max_edges=6, max_total_weight=2, workers=1,
-            suite_names=None, **params):
+            suite_names=None, coeff_bound=COEFF_BOUND, max_degree=None,
+            random_functions=RANDOM_FUNCTIONS):
     """Run the listed suites (all of them by default) and return their
-    results in order. With workers > 1 the heavy suites share one worker
-    pool so the per-graph rank caches stay warm across suites."""
+    results in order. With workers > 1 the heavy suites are sharded over
+    one worker pool, so the per-graph rank caches stay warm across suites;
+    every other suite runs inline as a single shard."""
     names = suite_names or list(SUITES)
-    results = []
+    corpus_params = (max_vertices, max_edges, max_total_weight)
+    params = {"coeff_bound": coeff_bound, "max_degree": max_degree,
+              "random_functions": random_functions}
+    graphs = connected_multigraphs(*corpus_params)
     pool = None
-    try:
-        if workers > 1 and any(n in HEAVY for n in names):
-            import multiprocessing
+    if workers > 1 and any(n in HEAVY for n in names):
+        import multiprocessing
 
-            pool = multiprocessing.Pool(workers)
+        pool = multiprocessing.Pool(workers)
+    try:
+        results = []
         for name in names:
-            results.append(
-                run_suite(
-                    name,
-                    max_vertices=max_vertices,
-                    max_edges=max_edges,
-                    max_total_weight=max_total_weight,
-                    workers=workers,
-                    pool=pool if name in HEAVY else None,
-                    **params,
-                )
-            )
+            started = time.perf_counter()
+            sharded = pool is not None and name in HEAVY
+            shards = [(name, corpus_params, indices, params)
+                      for indices in _deal(graphs, workers if sharded else 1)]
+            result = _merge(name, (pool.map if sharded else map)(_run_shard, shards))
+            result.seconds = time.perf_counter() - started
+            results.append(result)
     finally:
         if pool is not None:
             pool.close()

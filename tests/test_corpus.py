@@ -1,7 +1,13 @@
+import multiprocessing
 from itertools import permutations
 
+import pytest
+
+from divgraph import verify
 from divgraph.corpus import connected_multigraphs, weightless
-from divgraph.verify import SUITES, run_all, run_suite
+from divgraph.verify import HEAVY, SUITES, run_all, run_suite
+
+SMALL = {"max_vertices": 3, "max_edges": 4, "max_total_weight": 1}
 
 
 class TestEnumeration:
@@ -75,13 +81,13 @@ class TestSuitesSmallCaps:
             assert r.checked > 0
 
     def test_sharded_matches_inline(self):
-        inline = run_suite(
-            "riemann_roch", max_vertices=3, max_edges=4, max_total_weight=1)
-        sharded = run_suite(
-            "riemann_roch", max_vertices=3, max_edges=4, max_total_weight=1,
-            workers=2)
-        assert (inline.checked, inline.violations) == (
-            sharded.checked, sharded.violations)
+        # every heavy suite, including those that sweep each adjacency once
+        names = sorted(HEAVY)
+        inline = run_all(suite_names=names, **SMALL)
+        sharded = run_all(suite_names=names, workers=2, **SMALL)
+        for a, b in zip(inline, sharded):
+            assert (a.name, a.checked, a.violations) == (
+                b.name, b.checked, b.violations)
 
     def test_max_degree_cap_respected(self):
         capped = run_suite(
@@ -91,3 +97,59 @@ class TestSuitesSmallCaps:
             "riemann_roch", max_vertices=3, max_edges=3, max_total_weight=0)
         assert 0 < capped.checked < full.checked
         assert capped.passed
+
+    def test_every_suite_body_passes_with_no_params(self):
+        # the benchmark calls each body as SUITES[name](items, {})
+        items = list(enumerate(connected_multigraphs(3, 4, 1)))
+        for name, body in SUITES.items():
+            rec = body(items, {})
+            assert rec.checked > 0, name
+            assert (rec.violations, rec.first) == (0, None), name
+
+    def test_misspelt_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            run_all(suite_names=["riemann_roch"], coef_bound=0,
+                    max_vertices=2, max_edges=2, max_total_weight=0)
+        with pytest.raises(TypeError):
+            run_suite("riemann_roch", coef_bound=0,
+                      max_vertices=2, max_edges=2, max_total_weight=0)
+
+
+def _weighted_fails_pushforward(monkeypatch):
+    real = verify.verify_prin_pushforward
+    monkeypatch.setattr(verify, "verify_prin_pushforward",
+                        lambda cm: real(cm) and not any(cm.source.weights))
+
+
+def _weighted_fails_tree_count(monkeypatch):
+    real = verify.spanning_tree_count
+    monkeypatch.setattr(verify, "spanning_tree_count",
+                        lambda g: real(g) + any(g.weights))
+
+
+class TestCounterexamples:
+    """An injected fault fails the checks of every graph with a weighted
+    vertex; the report names the first such graph in corpus order. In the
+    sharded contraction_pushforward run that graph (corpus index 11) is not
+    in the first shard."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, inject, checked, violations, expected", [
+        ("contraction_pushforward", _weighted_fails_pushforward, 3662, 103,
+         '{"vertices":[{"id":"v1","weight":0},{"id":"v2","weight":1}],'
+         '"edges":[["v1","v2"]]} pushed principal lattice short at edge 0'),
+        ("contraction_complexity", _weighted_fails_tree_count, 551, 64,
+         '{"vertices":[{"id":"v1","weight":1}],"edges":[]}'
+         ' determinant vs brute tree count'),
+        ("picard", _weighted_fails_tree_count, 1850, 64,
+         '{"vertices":[{"id":"v1","weight":1}],"edges":[]} complexity vs brute count'),
+    ])
+    def test_first_in_corpus_order(self, monkeypatch, workers, name, inject,
+                                   checked, violations, expected):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the injected fault only when forked")
+        inject(monkeypatch)
+        result = run_suite(name, workers=workers, **SMALL)
+        assert (result.checked, result.violations) == (checked, violations)
+        assert result.counterexample == expected
+        assert f"first counterexample: {expected}" in result.line()

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from divgraph import Divisor, Graph
+from divgraph import cli
 from divgraph.cli import main
 from divgraph.errors import DocumentError
 from divgraph.io import (
@@ -127,6 +129,50 @@ class TestCliExitCodes:
         code = main(["classes", fixture("binary_g2.json"),
                      "--degree", "0", "--cap", "2"])
         assert code == 2
+
+    def test_non_utf8_file_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["genus", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "UTF-8" in err
+
+    def test_deeply_nested_file_is_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["genus", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "too deeply" in err
+
+
+class TestCliParser:
+    def test_built_once_for_many_calls(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        assert main(["genus", fixture("binary_g2.json")]) == 0
+        assert main(["pic", fixture("binary_g2.json")]) == 0
+        assert built.count("divgraph") == 1
+        assert capsys.readouterr().out == "2\ninvariant factors [3], order 3\n"
+
+    def test_errors_leave_no_state_behind(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["rank", fixture("binary_g2.json")])  # --divisor missing
+        assert usage.value.code == 2
+        assert main(["rank", fixture("binary_g2.json"), "--divisor", "(5,0)",
+                     "--max-search-degree", "1"]) == 2
+        capsys.readouterr()
+        # the default search cap (30) applies again
+        assert main(["rank", fixture("binary_g2.json"), "--divisor", "(5,0)"]) == 0
+        assert capsys.readouterr().out.strip() == "3"
 
 
 class TestCliJson:
