@@ -34,7 +34,7 @@ class GraphMismatch(DivisorGraphError):
 
 
 class EnumerationCapExceeded(DivisorGraphError):
-    """Class enumeration would exceed the configured cap."""
+    """Class or subset enumeration would exceed its cap."""
 
 
 class DegreeCapExceeded(DivisorGraphError):
@@ -67,10 +67,6 @@ class NotSemistable(DivisorGraphError):
 
 class GenusTooSmall(DivisorGraphError):
     """Operation requires genus at least 2."""
-
-
-class SearchExhausted(DivisorGraphError):
-    """Bounded search ended without a hit; enlarge the search box."""
 
 
 class DocumentError(DivisorGraphError):

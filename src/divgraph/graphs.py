@@ -20,12 +20,22 @@ from collections import deque
 
 from .errors import (
     DisconnectedGraph,
+    EnumerationCapExceeded,
     LoopInContractionSet,
     NegativeWeight,
     UnknownEdge,
     UnknownVertexId,
 )
 from .intmat import determinant
+
+MAX_SUBSET_VERTICES = 16  # the cut criterion and the balance inequality visit 2^n sets
+
+
+def check_subset_sweep(graph):
+    """Refuse a sweep over all vertex subsets of a graph past the cap."""
+    if graph.vertex_count > MAX_SUBSET_VERTICES:
+        raise EnumerationCapExceeded(f"{graph.vertex_count} vertices exceed the "
+                                     f"subset-sweep cap of {MAX_SUBSET_VERTICES}")
 
 
 def _as_weighted(vertices):

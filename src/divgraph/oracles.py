@@ -4,8 +4,9 @@ Each of these deliberately avoids the machinery it is used to validate:
 spanning trees are counted by enumerating edge subsets rather than by a
 determinant, class effectivity enumerates candidate effective divisors
 and tests lattice membership rather than reducing, the rank oracle walks
-the raw definition, and firing components explore actual chip-firing
-moves inside a bounded coefficient box.
+the raw definition, firing components explore actual chip-firing
+moves inside a bounded coefficient box, and semibalance is tested bound
+by bound in Fractions, not through the balance context's subset table.
 """
 
 from itertools import combinations, product
@@ -14,6 +15,7 @@ from .divisors import Divisor, firing_divisor
 from .graphs import DisjointSets, Graph
 from .intmat import compositions
 from .picard import principal_lattice
+from .transforms import balance_bound
 
 
 def spanning_tree_count(graph: Graph) -> int:
@@ -125,3 +127,19 @@ class FiringComponents:
 def equivalent_by_firing(graph: Graph, c1, c2, bound: int) -> bool:
     """Bounded chip-firing reachability between two coefficient tuples."""
     return FiringComponents(graph, bound).same_class(c1, c2)
+
+
+def is_semibalanced_by_bounds(graph: Graph, divisor: Divisor) -> bool:
+    """Semibalance from the definition: d(Z) >= ``balance_bound`` on every
+    nonempty proper vertex set Z, and d(v) >= 0 at every weight-0 valency-2
+    vertex."""
+    ids = graph.vertex_ids
+    return all(
+        divisor.restrict(zs) >= balance_bound(graph, divisor.degree, zs)
+        for size in range(1, len(ids))
+        for zs in combinations(ids, size)
+    ) and all(
+        divisor[v] >= 0
+        for w, v in zip(graph.weights, ids)
+        if w == 0 and graph.valency(v) == 2
+    )

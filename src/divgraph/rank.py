@@ -30,7 +30,7 @@ from .errors import (
     GraphMismatch,
     RequiresWeightlessLoopless,
 )
-from .graphs import Graph
+from .graphs import Graph, check_subset_sweep
 from .intmat import compositions
 from .picard import is_equivalent, reduce_coeffs
 
@@ -193,7 +193,8 @@ def certify_rank_below(graph: Graph, divisor: Divisor, v, r: int) -> bool:
     True iff d(v) < r and every nonempty subset Z of V - {v} holds fewer
     chips than the size of its boundary cut. When true, the class of
     d - r*v contains no effective divisor, so the rank bound follows
-    (the tests cross-check this against the exact rank).
+    (the tests cross-check this against the exact rank). Unless d(v) >= r,
+    graphs past MAX_SUBSET_VERTICES raise EnumerationCapExceeded.
     """
     if r < 0:
         raise DegreeOutOfRange("r must be >= 0")
@@ -201,6 +202,7 @@ def certify_rank_below(graph: Graph, divisor: Divisor, v, r: int) -> bool:
     coeffs = divisor.coeffs
     if coeffs[vi] >= r:
         return False
+    check_subset_sweep(graph)
     others = [i for i in range(graph.vertex_count) if i != vi]
     m = len(others)
     for mask in range(1, 1 << m):

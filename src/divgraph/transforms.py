@@ -17,9 +17,8 @@ from .errors import (
     MultiEdgeContraction,
     NotABridge,
     NotSemistable,
-    SearchExhausted,
 )
-from .graphs import ContractionMap, Graph
+from .graphs import ContractionMap, Graph, check_subset_sweep
 from .rank import rank
 
 
@@ -93,15 +92,15 @@ class _BalanceContext:
 
     def __init__(self, graph: Graph):
         _check_semistable(graph)
-        self.graph = graph
-        self.k_coeffs = canonical_divisor(graph).coeffs
+        check_subset_sweep(graph)
+        k_coeffs = canonical_divisor(graph).coeffs
         self.two_g_minus_2 = 2 * graph.genus() - 2
         n = graph.vertex_count
         subsets = sorted(
             tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, (1 << n) - 1)
         )
         self.entries = [
-            (zs, sum(self.k_coeffs[i] for i in zs), graph.cut_size(zs)) for zs in subsets
+            (zs, sum(k_coeffs[i] for i in zs), graph.cut_size(zs)) for zs in subsets
         ]
         self.special = tuple(
             i
@@ -124,9 +123,6 @@ class _BalanceContext:
             if coeffs[i] < 0:
                 return (i,)
         return None
-
-    def is_semibalanced(self, coeffs):
-        return self.first_violation(coeffs) is None
 
 
 def _balance_ctx(graph: Graph) -> _BalanceContext:
@@ -165,53 +161,29 @@ def balance_report(graph: Graph, divisor: Divisor) -> BalanceReport:
     return BalanceReport(divisor, semibalanced, balanced, violating)
 
 
-def _abs_sum_tuples(length, bound, total):
-    """Tuples in [-bound, bound]^length with |entries| summing to total,
-    ascending lexicographic order."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(-bound, bound + 1):
-        rem = total - abs(first)
-        if 0 <= rem <= (length - 1) * bound:
-            for rest in _abs_sum_tuples(length - 1, bound, rem):
-                yield (first,) + rest
+def find_semibalanced_representative(graph: Graph, divisor: Divisor) -> Divisor:
+    """Semibalanced representative of the class by set-firing descent: while
+    some set Z is violated (``first_violation``; a weight-0 valency-2 vertex
+    v at d(v) < 0 counts as Z = {v}), fire its complement S, which moves
+    one chip into Z along each edge of the cut. A semibalanced input comes
+    back unchanged.
 
-
-def _multipliers(length, bound):
-    """All tuples in [-bound, bound]^length ordered by total absolute
-    size then lexicographically; the zero tuple comes first."""
-    for total in range(length * bound + 1):
-        yield from _abs_sum_tuples(length, bound, total)
-
-
-def find_semibalanced_representative(
-    graph: Graph, divisor: Divisor, *, box: Optional[int] = None, retries: int = 4
-) -> Divisor:
-    """Search the divisor class for a semibalanced representative.
-
-    Translates of the divisor by firing moves are scanned inside a
-    multiplier box (default degree + genus + 2, doubled on exhaustion up
-    to ``retries`` times); the first hit in (total size, lex) order is
-    returned, so an already-semibalanced divisor comes back unchanged.
+    Termination: with c = k*deg/(2g-2) and E(D) = (D-c)^T L^+ (D-c), firing
+    S changes E by cut(S) - 2(D-c)(S), and a violated Z has (D-c)(S) >
+    cut(S)/2, so E strictly drops; only finitely many divisors of the class
+    lie below a given E. A valency-2 vertex is flagged only at d(v) = -1
+    (d(v) <= -2 violates {v}); that move unfires v and keeps E. A cycle of
+    such moves would put a nonzero script of them in ker L, the constants,
+    so every vertex would be one: a cycle of genus 1, which is excluded.
     """
     ctx = _balance_ctx(graph)
-    if box is None:
-        box = abs(divisor.degree) + graph.genus() + 2
-    n = graph.vertex_count
-    generators = [firing_divisor(graph, v).coeffs for v in graph.vertex_ids[1:]]
-    base = divisor.coeffs
-    for _ in range(retries + 1):
-        for mults in _multipliers(n - 1, box):
-            coeffs = list(base)
-            for m, gen in zip(mults, generators):
-                if m:
-                    for i, gi in enumerate(gen):
-                        coeffs[i] += m * gi
-            if ctx.is_semibalanced(coeffs):
-                return Divisor(graph, coeffs)
-        box *= 2
-    raise SearchExhausted(
-        f"no semibalanced representative within multiplier box {box // 2}"
-    )
+    neighbors = graph.neighbors
+    coeffs = list(divisor.coeffs)
+    while (zs := ctx.first_violation(coeffs)) is not None:
+        inside = set(zs)
+        for i in zs:
+            for j, m in neighbors[i]:
+                if j not in inside:
+                    coeffs[i] += m
+                    coeffs[j] -= m
+    return Divisor(graph, coeffs)

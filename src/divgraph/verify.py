@@ -36,12 +36,12 @@ from typing import Optional
 
 from .corpus import connected_multigraphs
 from .divisors import Divisor, RationalFunction, canonical_divisor, firing_divisor
-from .errors import SearchExhausted
 from .graphs import Graph
 from .intmat import IntegerLattice
 from .io import document_of
 from .oracles import (
     FiringComponents,
+    is_semibalanced_by_bounds,
     rank_by_definition,
     spanning_tree_count,
     spanning_trees_avoiding,
@@ -532,14 +532,11 @@ def _suite_semibalanced(items, params):
             degrees = [d for d in degrees if d <= max_degree]
         for degree in degrees:
             for rep in enumerate_classes(g, degree):
-                try:
-                    balanced_rep = find_semibalanced_representative(g, rep)
-                except SearchExhausted:
-                    rec.check(False, lambda rep=rep: f"search exhausted for {rep.coeffs}")
-                    continue
+                balanced_rep = find_semibalanced_representative(g, rep)
                 report = balance_report(g, balanced_rep)
                 ok = (
                     report.semibalanced
+                    and is_semibalanced_by_bounds(g, balanced_rep)
                     and is_equivalent(balanced_rep, rep)
                     and rank(g, balanced_rep).value == degree - genus
                 )

@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,22 @@ class TestCliExitCodes:
         code = main(["classes", fixture("binary_g2.json"),
                      "--degree", "0", "--cap", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("command, extra", [
+        ("kz", ["--vertex", "v1", "--r", "1"]),
+        ("balance", []),
+        ("semibalance-rep", []),
+    ])
+    def test_subset_sweep_past_cap_is_2(self, command, extra, tmp_path, capsys):
+        # a doubled 40-cycle has genus 41 and 2^40 vertex subsets
+        ids = [f"v{i + 1}" for i in range(40)]
+        g = Graph(ids, [(ids[i], ids[(i + 1) % 40]) for i in range(40)] * 2)
+        path = tmp_path / "cycle40.json"
+        save_document(str(path), g, {"zero": Divisor.zero(g)})
+        start = time.perf_counter()
+        assert main([command, str(path), "--divisor", "zero", *extra]) == 2
+        assert time.perf_counter() - start < 5
+        assert "subset-sweep cap" in capsys.readouterr().err
 
     def test_non_utf8_file_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

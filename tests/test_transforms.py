@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from divgraph import (
     Divisor,
@@ -16,15 +18,65 @@ from divgraph import (
     rank,
     verify_prin_pushforward,
 )
+from divgraph.corpus import connected_multigraphs
 from divgraph.errors import (
+    EnumerationCapExceeded,
     GenusTooSmall,
     GraphMismatch,
     MultiEdgeContraction,
     NotABridge,
     NotSemistable,
 )
+from divgraph.oracles import is_semibalanced_by_bounds
+from divgraph.rank import certify_rank_below
 
 from conftest import binary, cycle
+
+
+def _semistable(g):
+    return g.genus() >= 2 and all(
+        w > 0 or g.valency(v) >= 2 for w, v in zip(g.weights, g.vertex_ids))
+
+
+@st.composite
+def chained_graphs(draw):
+    """Semistable graphs of genus >= 2 on 5-9 vertices: up to three hubs
+    with weights and loops, joined by chains of weight-0 valency-2
+    vertices. Hub i is chained to hub i+1, and up to three more chains
+    join any two hubs (or a hub to itself)."""
+    hubs = draw(st.integers(1, 3))
+    n = draw(st.integers(5, 9))
+    weights = draw(st.lists(st.integers(0, 2), min_size=hubs, max_size=hubs))
+    loops = draw(st.lists(st.integers(0, 2), min_size=hubs, max_size=hubs))
+    hub = st.integers(0, hubs - 1)
+    ends = [(i, i + 1) for i in range(hubs - 1)]
+    ends += draw(st.lists(st.tuples(hub, hub), min_size=1, max_size=3))
+    # deal the n - hubs chain vertices out to the chains
+    owners = draw(st.lists(st.integers(0, len(ends) - 1),
+                           min_size=n - hubs, max_size=n - hubs))
+    lengths = Counter(owners)
+    ids = [f"h{i}" for i in range(hubs)]
+    vertices = [(v, w) for v, w in zip(ids, weights)]
+    edges = [(v, v) for v, count in zip(ids, loops) for _ in range(count)]
+    for c, (a, b) in enumerate(ends):
+        path = [ids[a]] + [f"c{c}_{k}" for k in range(lengths[c])] + [ids[b]]
+        vertices += [(v, 0) for v in path[1:-1]]
+        edges += list(zip(path, path[1:]))
+    g = Graph(vertices, edges)
+    assume(_semistable(g))
+    return g
+
+
+@st.composite
+def chained_divisors(draw):
+    """A divisor of any degree on a chained graph; chain vertices hold
+    -2 .. 2 chips, so -1 on a valency-2 vertex comes up often."""
+    g = draw(chained_graphs())
+    coeffs = [
+        draw(st.integers(-6, 8) if v.startswith("h") else st.integers(-2, 2))
+        for v in g.vertex_ids
+    ]
+    return Divisor(g, coeffs)
 
 
 class TestPushForward:
@@ -178,6 +230,35 @@ class TestBalanceReport:
         with pytest.raises(GenusTooSmall):
             balance_report(g, Divisor.zero(g))
 
+    def test_matches_bound_oracle_on_three_vertex_corpus(self):
+        graphs = [g for g in connected_multigraphs(3, 6, 2) if _semistable(g)]
+        assert graphs
+        for g in graphs:
+            for coeffs in product(range(-2, 3), repeat=g.vertex_count):
+                d = Divisor(g, coeffs)
+                assert balance_report(g, d).semibalanced == is_semibalanced_by_bounds(g, d), (
+                    g, coeffs)
+
+
+class TestSubsetSweepCap:
+    """Subset sweeps refuse graphs past the vertex cap instead of
+    enumerating 2^n sets."""
+
+    def doubled_cycle(self, n):
+        ids = [f"v{i + 1}" for i in range(n)]
+        return Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)] * 2)
+
+    def test_cut_criterion_refused_after_its_early_return(self):
+        g = self.doubled_cycle(17)
+        with pytest.raises(EnumerationCapExceeded):
+            certify_rank_below(g, Divisor.zero(g), "v1", 1)
+        # d(v) >= r settles the criterion before any subset is visited
+        assert not certify_rank_below(g, Divisor.zero(g), "v1", 0)
+
+    def test_cap_vertex_count_accepted(self):
+        g = self.doubled_cycle(16)
+        assert balance_report(g, Divisor(g, (2,) * 16)).semibalanced
+
 
 class TestSemibalancedRepresentative:
     def test_binary_high_degree(self, binary2):
@@ -199,6 +280,26 @@ class TestSemibalancedRepresentative:
         assert rep.coeffs == (0, 2)
         assert is_equivalent(rep, d)
         assert all(0 <= c <= 2 for c in rep.coeffs)
+
+    def test_special_vertex_at_minus_one_is_unfired(self):
+        # triangle with one doubled edge: v3 has weight 0 and valency 2, and
+        # -1 there breaks only the valency-2 condition, not a subset bound
+        g = Graph(["v1", "v2", "v3"],
+                  [("v1", "v2"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
+        d = Divisor(g, (2, 2, -1))
+        assert balance_report(g, d).violating_set == frozenset({"v3"})
+        rep = find_semibalanced_representative(g, d)
+        assert rep.coeffs == (1, 1, 1)
+        assert is_semibalanced_by_bounds(g, rep)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(chained_divisors())
+    def test_descent_on_chained_graphs(self, d):
+        g = d.graph
+        rep = find_semibalanced_representative(g, d)
+        assert is_semibalanced_by_bounds(g, rep)
+        assert is_equivalent(rep, d)
+        assert find_semibalanced_representative(g, rep) == rep
 
     def test_triangle_doubled_classes(self, triangle_doubled):
         g = triangle_doubled
