@@ -11,7 +11,6 @@ strings.
 
 import argparse
 import functools
-import gc
 import json
 import sys
 from fractions import Fraction
@@ -268,6 +267,18 @@ def _cmd_verify(args):
 # -- parser -----------------------------------------------------------------
 
 
+def _int_in(low, high=None):
+    """argparse type: an int from ``low`` to ``high`` (no upper end if None)."""
+    def parse(text):
+        value = int(text)
+        if value < low or high is not None and value > high:
+            upto = "" if high is None else f" and at most {high}"
+            raise argparse.ArgumentTypeError(f"must be at least {low}{upto}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 @functools.cache  # built on the first call, then shared: parsing leaves it unchanged
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -337,13 +348,13 @@ def _build_parser():
 
     p = add("verify", _cmd_verify, needs_graph=False,
             help="run the property suites over the small-graph corpus")
-    p.add_argument("--max-vertices", type=int, default=4)
-    p.add_argument("--max-edges", type=int, default=6)
-    p.add_argument("--max-weight", type=int, default=2)
+    p.add_argument("--max-vertices", type=_int_in(1), default=4)
+    p.add_argument("--max-edges", type=_int_in(0), default=6)
+    p.add_argument("--max-weight", type=_int_in(0), default=2)
     p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--coeff-box", type=int, default=3)
-    p.add_argument("--random-functions", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--coeff-box", type=_int_in(0), default=3)
+    p.add_argument("--random-functions", type=_int_in(0), default=1000)
+    p.add_argument("--workers", type=_int_in(1, verify_mod.MAX_WORKERS), default=1)
     return parser
 
 
@@ -354,10 +365,6 @@ def main(argv=None):
     except DivisorGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
-    finally:
-        # a graph's memos (rank engine, loopless model) point back at it, so only
-        # the cycle collector frees it: free this query's graphs now, not later
-        gc.collect(1)
 
 
 if __name__ == "__main__":

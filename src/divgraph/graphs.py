@@ -247,7 +247,9 @@ class Graph:
     def memo(self, key, build):
         """The value memoised on this graph under ``key``, made by
         ``build(graph)`` on first use. The graph is immutable, so the
-        value stays valid for the graph's lifetime."""
+        value stays valid for the graph's lifetime. The value holds plain
+        data and never refers back to this graph, so a graph and its memos
+        are freed by reference counting alone."""
         value = self._cache.get(key)
         if value is None:
             value = self._cache[key] = build(self)
@@ -276,10 +278,6 @@ class Graph:
                     seen[w] = True
                     queue.append(w)
         return not seen[j]
-
-    def bridges(self):
-        """Indices of one representative edge per bridge (loops excluded)."""
-        return tuple(e for e in range(len(self._edge_list)) if self.is_bridge(e))
 
     def bfs_layers(self, q):
         """Vertex indices grouped by edge distance from q (index), cached."""
@@ -358,14 +356,13 @@ class Graph:
         0), followed by one midpoint per loop in (vertex, loop) order:
         the pre-existing loops of a vertex in edge order, then its weight
         loops. Genus is preserved; a graph that is already weightless and
-        loopless is its own model.
+        loopless is its own model (not memoised: it would refer to itself).
         """
+        if self.is_weightless_loopless():
+            return LooplessModel(len(self._ids), self)
         return self.memo("loopless", Graph._build_loopless_model)
 
     def _build_loopless_model(self):
-        if self.is_weightless_loopless():
-            embedding = {v: v for v in self._ids}
-            return LooplessModel(self, self, embedding)
         used = set(self._ids)
         new_vertices = [(v, 0) for v in self._ids]
         new_edges = [e for e in self._edge_list if self._index[e[0]] != self._index[e[1]]]
@@ -379,9 +376,7 @@ class Graph:
                 new_vertices.append((mid, 0))
                 new_edges.append((v, mid))
                 new_edges.append((v, mid))
-        model = Graph(new_vertices, new_edges)
-        embedding = {v: v for v in self._ids}
-        return LooplessModel(self, model, embedding)
+        return LooplessModel(len(self._ids), Graph(new_vertices, new_edges))
 
 
 def _reduced_laplacian(graph):
@@ -434,7 +429,6 @@ class ContractionMap:
         self.vertex_map = vertex_map
         self.contracted_edges = contracted_edges
         self.surviving_edges = surviving_edges
-        assert source.genus() == target.genus()
 
     def is_single_edge(self):
         return len(self.contracted_edges) == 1
@@ -447,16 +441,16 @@ class ContractionMap:
 
 
 class LooplessModel:
-    """A graph together with its weightless loopless model."""
+    """A graph's weightless loopless model. It keeps the zero padding for
+    the midpoint vertices, never the source graph."""
 
-    def __init__(self, source, model, vertex_embedding):
-        self.source = source
+    def __init__(self, source_vertex_count, model):
         self.model = model
-        self.vertex_embedding = vertex_embedding
+        self.padding = model.vertex_count - source_vertex_count
 
     def embed_coeffs(self, coeffs):
         """Extend a coefficient vector by zeros on the midpoint vertices."""
-        return tuple(coeffs) + (0,) * (self.model.vertex_count - self.source.vertex_count)
+        return tuple(coeffs) + (0,) * self.padding
 
     def __repr__(self):
-        return f"LooplessModel({self.source!r} -> {self.model!r})"
+        return f"LooplessModel({self.padding} midpoints -> {self.model!r})"

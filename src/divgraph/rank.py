@@ -55,13 +55,14 @@ class RankResult:
 
 
 class _RankEngine:
-    """Memoised rank search bound to one weightless loopless graph."""
+    """Rank search on one weightless loopless graph, a view built per call
+    over two dicts memoised on it. They hold only tuples and ints, so they
+    die with the graph and need no size cap."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.vertex_count
-        self._reduced = {}
-        self._rank = {}
+        self._reduced, self._rank = graph.memo("rank_memo", lambda g: ({}, {}))
 
     def reduced(self, coeffs):
         r = self._reduced.get(coeffs)
@@ -105,10 +106,6 @@ class _RankEngine:
         return val
 
 
-def _engine(graph: Graph) -> _RankEngine:
-    return graph.memo("rank_engine", _RankEngine)
-
-
 def _witness(engine, coeffs, value):
     for e in compositions(value + 1, engine.n):
         rem = tuple(a - b for a, b in zip(coeffs, e))
@@ -129,7 +126,7 @@ def is_class_effective(divisor: Divisor) -> bool:
     """True iff some effective divisor is linearly equivalent to this one
     (weightless loopless graphs only)."""
     _require_plain(divisor.graph)
-    return _engine(divisor.graph).class_effective(divisor.coeffs)
+    return _RankEngine(divisor.graph).class_effective(divisor.coeffs)
 
 
 def rank_weightless(
@@ -158,7 +155,7 @@ def rank(
         )
     model = graph.loopless_model()
     coeffs = model.embed_coeffs(divisor.coeffs)
-    engine = _engine(model.model)
+    engine = _RankEngine(model.model)
     value = engine.rank(coeffs)
     witness = _witness(engine, coeffs, value) if with_witness else None
     return RankResult(value, witness)

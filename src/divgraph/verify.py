@@ -23,8 +23,9 @@ dealt round-robin, so a suite that sweeps each adjacency once sees it in
 one shard; children rebuild the corpus from its parameters (cheap, cached
 per process), and the merged counterexample is the one with the smallest
 corpus index, so results are independent of the worker count. One pool
-is reused across suites so each worker keeps its memoised rank ladders
-warm.
+serves every suite, but ``pool.map`` hands each shard to whichever worker
+is free, so a shard may miss the rank memos an earlier suite warmed
+elsewhere (ROADMAP item 2 pins each shard to one worker).
 """
 
 import json
@@ -54,7 +55,7 @@ from .picard import (
     q_reduce,
     reduce_coeffs,
 )
-from .rank import _engine, certify_rank_below, rank
+from .rank import _RankEngine, certify_rank_below, rank
 from .transforms import (
     balance_report,
     bridge_rank_preservation,
@@ -64,6 +65,7 @@ from .transforms import (
 )
 
 SEED = 20260810
+MAX_WORKERS = 32  # largest worker pool the verify command accepts
 
 # Sweep sizes; run_all's coeff_bound and random_functions replace the first two.
 COEFF_BOUND = 3  # divisor coefficients in [-3, 3]
@@ -374,7 +376,7 @@ def _suite_rank_properties(items, params):
         ids = g.vertex_ids
         lo, hi = _degree_window(g, max_degree)
         model = g.loopless_model()
-        eng = _engine(model.model)
+        eng = _RankEngine(model.model)
         k = canonical_divisor(g)
         zero = Divisor.zero(g)
         swept = []
@@ -437,7 +439,7 @@ def _suite_riemann_roch(items, params):
         genus = g.genus()
         lo, hi = _degree_window(g, max_degree)
         model = g.loopless_model()
-        eng = _engine(model.model)
+        eng = _RankEngine(model.model)
         k_emb = model.embed_coeffs(canonical_divisor(g).coeffs)
         for coeffs in _box(g.vertex_count, coeff_bound):
             degree = sum(coeffs)
@@ -459,7 +461,7 @@ def _suite_superadditivity(items, params):
         genus = g.genus()
         n = g.vertex_count
         model = g.loopless_model()
-        eng = _engine(model.model)
+        eng = _RankEngine(model.model)
         reps = []
         seen = set()
         for coeffs in _box(n, coeff_bound):
@@ -555,7 +557,7 @@ def _suite_rank_oracle(items, params):
         model = g.loopless_model()
         if model.model.vertex_count > ORACLE_MAX_MODEL:
             continue
-        eng = _engine(model.model)
+        eng = _RankEngine(model.model)
         for coeffs in _box(g.vertex_count, ORACLE_COEFF_BOUND):
             if not -1 <= sum(coeffs) <= ORACLE_MAX_DEGREE:
                 continue
@@ -604,7 +606,7 @@ SUITES = {
 }
 
 # suites whose cost is dominated by per-graph divisor sweeps; these are
-# sharded across workers (riemann_roch goes first to warm the rank caches)
+# sharded across workers (riemann_roch runs first, but see the module docstring)
 HEAVY = {
     "riemann_roch",
     "rank_properties",
@@ -659,8 +661,7 @@ def run_all(*, max_vertices=4, max_edges=6, max_total_weight=2, workers=1,
             random_functions=RANDOM_FUNCTIONS):
     """Run the listed suites (all of them by default) and return their
     results in order. With workers > 1 the heavy suites are sharded over
-    one worker pool, so the per-graph rank caches stay warm across suites;
-    every other suite runs inline as a single shard."""
+    one worker pool; every other suite runs inline as a single shard."""
     names = suite_names or list(SUITES)
     corpus_params = (max_vertices, max_edges, max_total_weight)
     params = {"coeff_bound": coeff_bound, "max_degree": max_degree,

@@ -1,10 +1,22 @@
+import gc
 import re
-from itertools import combinations
+import weakref
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 
-from divgraph import Graph
+from divgraph import (
+    Divisor,
+    Graph,
+    balance_report,
+    bridge_rank_preservation,
+    find_semibalanced_representative,
+    is_equivalent,
+    picard_structure,
+    rank,
+    riemann_roch_check,
+)
 from divgraph.corpus import connected_multigraphs
 from divgraph.errors import (
     DisconnectedGraph,
@@ -130,7 +142,6 @@ class TestLooplessModel:
             [("v", "w"), ("v", "v*0"), ("v", "v*0"), ("w", "w*0"), ("w", "w*0")]
         )
         assert m.genus() == weight_loop_mix.genus() == 2
-        assert model.vertex_embedding == {"v": "v", "w": "w"}
 
     def test_plain_graph_is_its_own_model(self, binary2):
         model = binary2.loopless_model()
@@ -195,6 +206,19 @@ class TestContraction:
     def test_bad_index_rejected(self, triangle_doubled):
         with pytest.raises(UnknownEdge):
             triangle_doubled.contract({17})
+
+    def test_every_contraction_preserves_genus(self):
+        count = 0
+        for g in connected_multigraphs(3, 5, 2):
+            plain = [e for e, (i, j) in enumerate(g.edge_pairs) if i != j]
+            subsets = chain.from_iterable(
+                combinations(plain, k) for k in range(len(plain) + 1))
+            for s in subsets:
+                cm = g.contract(s)
+                assert cm.target.genus() == g.genus()
+                assert set(cm.vertex_map.values()) <= set(cm.target.vertex_ids)
+                count += 1
+        assert count == 4634
 
     def test_surviving_edges_bookkeeping(self, triangle_doubled):
         cm = triangle_doubled.contract({1})
@@ -286,6 +310,59 @@ class TestAdjacencyView:
         for _ in range(2):
             assert binary2.memo("probe", lambda g: built.append(g) or len(built)) == 1
         assert built == [binary2]
+
+
+def _rank_with_witness(coeffs):
+    return lambda g: rank(g, Divisor(g, coeffs), with_witness=True)
+
+
+def _contract_bridge(g):
+    cm = g.contract({0})
+    assert bridge_rank_preservation(cm, Divisor(g, (0, 1)))
+    return cm.target
+
+
+def _class_memos(g):
+    d = Divisor(g, (3, 1))
+    assert is_equivalent(d, d)
+    picard_structure(g)
+    balance_report(g, d)
+    g.complexity()
+    g.bfs_layers(0)
+    return g.loopless_model().model
+
+
+class TestMemoRule:
+    """No memo value refers back to its graph, so with the cycle collector
+    off a graph dies at its last reference, memos and models with it."""
+
+    @pytest.mark.parametrize("make, use", [
+        (lambda: Graph(["a", "b", "c"], [("a", "b"), ("a", "b"), ("a", "c"), ("b", "c")]),
+         _rank_with_witness((1, 1, 0))),
+        (lambda: Graph([("v", 1), ("w", 0)], [("v", "w"), ("w", "w")]),
+         _rank_with_witness((2, 0))),
+        (lambda: Graph([("v", 1), ("w", 0)], [("v", "w"), ("w", "w")]),
+         lambda g: riemann_roch_check(g, Divisor(g, (1, 1)))),
+        (lambda: binary(2),
+         lambda g: find_semibalanced_representative(g, Divisor(g, (5, 0)))),
+        (lambda: Graph([("v1", 1), ("v2", 1)], [("v1", "v2")]), _contract_bridge),
+        (lambda: Graph([("v", 1), ("w", 0)], [("v", "w"), ("w", "w")]), _class_memos),
+    ], ids=["rank-plain", "rank-weighted-loop", "riemann-roch", "semibalanced",
+            "contract-bridge", "class-memos"])
+    def test_graph_freed_by_reference_counting(self, make, use):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            g = make()
+            derived = use(g)
+            refs = [weakref.ref(g)]
+            if isinstance(derived, Graph):
+                refs.append(weakref.ref(derived))
+            del g, derived
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestDisjointSets:

@@ -1,5 +1,7 @@
 import argparse
+import gc
 import json
+import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from divgraph import Divisor, Graph
-from divgraph import cli
+from divgraph import cli, verify
 from divgraph.cli import main
 from divgraph.errors import DocumentError
 from divgraph.io import (
@@ -190,6 +192,56 @@ class TestCliParser:
         # the default search cap (30) applies again
         assert main(["rank", fixture("binary_g2.json"), "--divisor", "(5,0)"]) == 0
         assert capsys.readouterr().out.strip() == "3"
+
+
+class TestCliFreesItsGraphs:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "weight_loop_mix.json", "--divisor", "point"],
+        ["rr-check", "two_weight_one.json", "--divisor", "b"],
+        ["clifford", "weight_loop_mix.json", "--divisor", "point"],
+        ["reduce", "weight_loop_mix.json", "--divisor", "(3,-1)", "--basepoint", "w"],
+        ["equiv", "two_weight_one.json", "--d1", "a", "--d2", "(1,0)"],
+        ["pic", "single_vertex_g2.json"],
+        ["balance", "weight_loop_mix.json", "--divisor", "(2,1)"],
+        ["semibalance-rep", "two_weight_one.json", "--divisor", "(4,-1)"],
+    ], ids=lambda argv: argv[0])
+    def test_no_graph_outlives_its_query(self, argv, capsys):
+        def live_graphs():
+            return sum(isinstance(o, Graph) for o in gc.get_objects())
+
+        main([argv[0], fixture(argv[1]), *argv[2:]])  # builds the cached parser
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_graphs()
+            assert main([argv[0], fixture(argv[1]), *argv[2:]]) in (0, 1)
+            assert live_graphs() == before
+        finally:
+            gc.enable()
+
+
+class TestVerifyArguments:
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--workers", str(verify.MAX_WORKERS + 1)),
+        ("--workers", "-3"),
+        ("--max-vertices", "0"),
+        ("--max-edges", "-1"),
+        ("--max-weight", "-1"),
+        ("--coeff-box", "-1"),
+        ("--random-functions", "-1"),
+        ("--workers", "two"),
+    ])
+    def test_refused_before_any_work(self, flag, value, monkeypatch, capsys):
+        def started(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(multiprocessing, "Pool", started)
+        monkeypatch.setattr(verify, "connected_multigraphs", started)
+        with pytest.raises(SystemExit) as refused:
+            main(["verify", flag, value])
+        assert refused.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 class TestCliJson:
