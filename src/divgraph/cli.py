@@ -351,7 +351,7 @@ def _build_parser():
     p.add_argument("--max-vertices", type=_int_in(1), default=4)
     p.add_argument("--max-edges", type=_int_in(0), default=6)
     p.add_argument("--max-weight", type=_int_in(0), default=2)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=_int_in(0), default=None)
     p.add_argument("--coeff-box", type=_int_in(0), default=3)
     p.add_argument("--random-functions", type=_int_in(0), default=1000)
     p.add_argument("--workers", type=_int_in(1, verify_mod.MAX_WORKERS), default=1)

@@ -112,10 +112,8 @@ def parse_divisor(spec: str, graph: Graph, named=None) -> Divisor:
     text = spec.strip().replace("−", "-")
     if text.startswith("(") and text.endswith(")"):
         body = text[1:-1].strip()
-        parts = [p.strip() for p in body.split(",")] if body else []
-        parts = [p for p in parts if p]
         try:
-            coeffs = [int(p) for p in parts]
+            coeffs = [int(p) for p in body.split(",")] if body else []
         except ValueError:
             raise DocumentError(f"cannot parse divisor {spec!r}") from None
         if len(coeffs) != graph.vertex_count:

@@ -17,15 +17,14 @@ Two structural facts keep the sweeps honest while trimming repeated work:
 Only three sweep sizes vary per run, ``run_all``'s ``coeff_bound``,
 ``max_degree`` and ``random_functions``; the others are module constants.
 
-Each suite runs as shards of corpus indices: one inline, or one per
-worker for the heavy suites when ``workers > 1``. Whole adjacencies are
-dealt round-robin, so a suite that sweeps each adjacency once sees it in
-one shard; children rebuild the corpus from its parameters (cheap, cached
-per process), and the merged counterexample is the one with the smallest
-corpus index, so results are independent of the worker count. One pool
-serves every suite, but ``pool.map`` hands each shard to whichever worker
-is free, so a shard may miss the rank memos an earlier suite warmed
-elsewhere (ROADMAP item 2 pins each shard to one worker).
+Each suite runs as ``workers`` shards of corpus indices. Whole
+adjacencies are dealt round-robin, so a suite that sweeps each adjacency
+once sees it in one shard. Shard 0 runs in the calling process and shard i
+in the i-th worker process, the same process for every suite of a run, so
+the rank memos riemann_roch warms for a shard serve that shard's later
+suites. Workers rebuild the corpus from its parameters (cached per
+process), and the merged counterexample is the one with the smallest
+corpus index, so results do not depend on the worker count.
 """
 
 import json
@@ -37,7 +36,6 @@ from typing import Optional
 
 from .corpus import connected_multigraphs
 from .divisors import Divisor, RationalFunction, canonical_divisor, firing_divisor
-from .graphs import Graph
 from .intmat import IntegerLattice
 from .io import document_of
 from .oracles import (
@@ -134,10 +132,7 @@ class _Recorder:
         if not ok:
             self.violations += 1
             if self.first is None:
-                text = describe()
-                if self._graph is not None:
-                    text = f"{_graph_blob(self._graph)} {text}"
-                self.first = (self._gidx, text)
+                self.first = (self._gidx, f"{_graph_blob(self._graph)} {describe()}")
 
 
 def _degree_window(graph, max_degree):
@@ -570,25 +565,6 @@ def _suite_rank_oracle(items, params):
     return rec
 
 
-def _suite_semicontinuity_fixture(items, params):
-    # rank-jump pair: a doubled edge plus a path edge, contracted at the
-    # path edge; the rank both drops and rises across this non-bridge
-    rec = _Recorder()
-    g = Graph(["v1", "v2", "v3"],
-              [("v1", "v2"), ("v1", "v2"), ("v1", "v3"), ("v2", "v3")])
-    cm = g.contract({3})
-    cases = [((-2, 3, -1), 0, -1), ((1, -1, 1), -1, 0), ((1, -1, 2), 0, 1)]
-    for coeffs, r_source, r_target in cases:
-        d = Divisor(g, coeffs)
-        ok = (
-            rank(g, d).value == r_source
-            and rank(cm.target, push_forward(cm, d)).value == r_target
-        )
-        rec.check(ok, lambda coeffs=coeffs: f"rank jump pair fails at {coeffs}")
-    rec.check(not g.is_bridge(3), lambda: "contracted fixture edge is a bridge")
-    return rec
-
-
 SUITES = {
     "graph_invariants": _suite_graph_invariants,
     "contraction_complexity": _suite_contraction_complexity,
@@ -602,19 +578,6 @@ SUITES = {
     "contraction_pushforward": _suite_contraction_pushforward,
     "semibalanced": _suite_semibalanced,
     "rank_oracle": _suite_rank_oracle,
-    "semicontinuity_fixture": _suite_semicontinuity_fixture,
-}
-
-# suites whose cost is dominated by per-graph divisor sweeps; these are
-# sharded across workers (riemann_roch runs first, but see the module docstring)
-HEAVY = {
-    "riemann_roch",
-    "rank_properties",
-    "superadditivity",
-    "contraction_pushforward",
-    "semibalanced",
-    "equivalence_oracles",
-    "reduction",
 }
 
 
@@ -629,8 +592,7 @@ def _deal(graphs, shards):
     return dealt
 
 
-def _run_shard(args):
-    suite_name, corpus_params, indices, params = args
+def _run_shard(suite_name, corpus_params, indices, params):
     graphs = connected_multigraphs(*corpus_params)
     items = [(i, graphs[i]) for i in indices]
     rec = SUITES[suite_name](items, params)
@@ -638,7 +600,6 @@ def _run_shard(args):
 
 
 def _merge(name, parts):
-    parts = list(parts)
     checked = sum(p[0] for p in parts)
     violations = sum(p[1] for p in parts)
     firsts = [p[2] for p in parts if p[2] is not None]
@@ -646,44 +607,36 @@ def _merge(name, parts):
     return SuiteResult(name, checked, violations, first[1] if first else None)
 
 
-def run_suite(name, *, max_vertices=4, max_edges=6, max_total_weight=2,
-              workers=1, coeff_bound=COEFF_BOUND, max_degree=None,
-              random_functions=RANDOM_FUNCTIONS) -> SuiteResult:
-    """Run one suite; see ``run_all``."""
-    return run_all(suite_names=[name], max_vertices=max_vertices, max_edges=max_edges,
-                   max_total_weight=max_total_weight, workers=workers,
-                   coeff_bound=coeff_bound, max_degree=max_degree,
-                   random_functions=random_functions)[0]
-
-
 def run_all(*, max_vertices=4, max_edges=6, max_total_weight=2, workers=1,
             suite_names=None, coeff_bound=COEFF_BOUND, max_degree=None,
             random_functions=RANDOM_FUNCTIONS):
-    """Run the listed suites (all of them by default) and return their
-    results in order. With workers > 1 the heavy suites are sharded over
-    one worker pool; every other suite runs inline as a single shard."""
+    """Run the listed suites (all of them by default), one after another,
+    and return their results in order. Every suite runs as ``workers``
+    shards: shard 0 in the calling process, and each other shard in its
+    own single-process executor, the same one for every suite of the run."""
     names = suite_names or list(SUITES)
     corpus_params = (max_vertices, max_edges, max_total_weight)
     params = {"coeff_bound": coeff_bound, "max_degree": max_degree,
               "random_functions": random_functions}
-    graphs = connected_multigraphs(*corpus_params)
-    pool = None
-    if workers > 1 and any(n in HEAVY for n in names):
-        import multiprocessing
+    own, *others = _deal(connected_multigraphs(*corpus_params), workers)
+    executors = []
+    if others:
+        # imported here, not at the top: every CLI query imports this module
+        from concurrent.futures import ProcessPoolExecutor
 
-        pool = multiprocessing.Pool(workers)
+        executors = [ProcessPoolExecutor(max_workers=1) for _ in others]
     try:
         results = []
         for name in names:
             started = time.perf_counter()
-            sharded = pool is not None and name in HEAVY
-            shards = [(name, corpus_params, indices, params)
-                      for indices in _deal(graphs, workers if sharded else 1)]
-            result = _merge(name, (pool.map if sharded else map)(_run_shard, shards))
+            futures = [ex.submit(_run_shard, name, corpus_params, indices, params)
+                       for ex, indices in zip(executors, others)]
+            parts = [_run_shard(name, corpus_params, own, params)]
+            parts += [f.result() for f in futures]
+            result = _merge(name, parts)
             result.seconds = time.perf_counter() - started
             results.append(result)
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+        for ex in executors:
+            ex.shutdown(cancel_futures=True)
     return results

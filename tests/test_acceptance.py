@@ -170,7 +170,6 @@ def test_c08_equivalence_oracle_agreement(suites):
 def test_c09_contraction_suite(suites):
     _require(suites["contraction_complexity"])
     _require(suites["contraction_pushforward"])
-    _require(suites["semicontinuity_fixture"])
     _passed("criterion 9",
             "pushed lattices cover, bridges preserve rank, "
             "complexity obeys deletion/contraction")

@@ -1,13 +1,44 @@
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
 from divgraph import verify
 from divgraph.corpus import connected_multigraphs, weightless
-from divgraph.verify import HEAVY, SUITES, run_all, run_suite
+from divgraph.verify import SUITES, run_all
 
 SMALL = {"max_vertices": 3, "max_edges": 4, "max_total_weight": 1}
+SRC = str(Path(verify.__file__).resolve().parents[1])
+
+
+def _require_fork():
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see a monkeypatch only when forked")
+
+
+def _python(script, timeout):
+    """Run ``script`` in a fresh interpreter that imports this divgraph;
+    on timeout, kill its whole process group (workers included) and fail."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-c", textwrap.dedent(script)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True, env=env, start_new_session=True)
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"no answer within {timeout}s")
+    assert child.returncode == 0, err
+    return out
 
 
 class TestEnumeration:
@@ -81,20 +112,21 @@ class TestSuitesSmallCaps:
             assert r.checked > 0
 
     def test_sharded_matches_inline(self):
-        # every heavy suite, including those that sweep each adjacency once
-        names = sorted(HEAVY)
-        inline = run_all(suite_names=names, **SMALL)
-        sharded = run_all(suite_names=names, workers=2, **SMALL)
+        # every suite, including those that sweep each adjacency once
+        inline = run_all(**SMALL)
+        sharded = run_all(workers=2, **SMALL)
+        assert len(inline) == len(sharded) == len(SUITES)
         for a, b in zip(inline, sharded):
             assert (a.name, a.checked, a.violations) == (
                 b.name, b.checked, b.violations)
 
     def test_max_degree_cap_respected(self):
-        capped = run_suite(
-            "riemann_roch", max_vertices=3, max_edges=3, max_total_weight=0,
-            max_degree=0)
-        full = run_suite(
-            "riemann_roch", max_vertices=3, max_edges=3, max_total_weight=0)
+        capped = run_all(
+            suite_names=["riemann_roch"], max_vertices=3, max_edges=3,
+            max_total_weight=0, max_degree=0)[0]
+        full = run_all(
+            suite_names=["riemann_roch"], max_vertices=3, max_edges=3,
+            max_total_weight=0)[0]
         assert 0 < capped.checked < full.checked
         assert capped.passed
 
@@ -110,9 +142,65 @@ class TestSuitesSmallCaps:
         with pytest.raises(TypeError):
             run_all(suite_names=["riemann_roch"], coef_bound=0,
                     max_vertices=2, max_edges=2, max_total_weight=0)
-        with pytest.raises(TypeError):
-            run_suite("riemann_roch", coef_bound=0,
-                      max_vertices=2, max_edges=2, max_total_weight=0)
+
+
+class TestShardProcesses:
+    def test_each_shard_keeps_one_process(self, monkeypatch, tmp_path):
+        _require_fork()
+        log = tmp_path / "shards.log"
+
+        def logging_suite(suite):
+            def body(items, params):
+                with log.open("a") as out:
+                    out.write(f"{suite} {items[0][0]} {os.getpid()}\n")
+                return verify._Recorder()
+            return body
+
+        for suite in ("first", "second"):
+            monkeypatch.setitem(SUITES, suite, logging_suite(suite))
+        run_all(suite_names=["first", "second"], workers=2, **SMALL)
+        runs = [line.split() for line in log.read_text().splitlines()]
+        assert Counter(suite for suite, _, _ in runs) == {"first": 2, "second": 2}
+        pids = {}
+        for _, first_index, pid in runs:
+            pids.setdefault(int(first_index), set()).add(int(pid))
+        assert len(pids) == 2
+        assert all(len(shard) == 1 for shard in pids.values())
+        assert pids[0] == {os.getpid()}
+        assert len(set.union(*pids.values())) == 2
+
+    def test_dead_worker_raises(self):
+        _require_fork()
+        out = _python("""
+            import os
+            from divgraph import verify
+
+            caller = os.getpid()
+
+            def dies(items, params):
+                if os.getpid() != caller:
+                    os._exit(1)
+                return verify._Recorder()
+
+            verify.SUITES["riemann_roch"] = dies
+            try:
+                verify.run_all(suite_names=["riemann_roch"], workers=2,
+                               max_vertices=3, max_edges=4, max_total_weight=1)
+            except Exception as exc:
+                print(type(exc).__name__)
+        """, timeout=30)
+        assert out.strip() == "BrokenProcessPool"
+
+    def test_cli_import_loads_no_process_modules(self):
+        # the executor is imported inside run_all: every CLI query imports verify
+        out = _python("""
+            import sys
+            import divgraph.cli, divgraph.verify
+
+            print([m for m in ("multiprocessing", "concurrent.futures")
+                   if m in sys.modules])
+        """, timeout=60)
+        assert out.strip() == "[]"
 
 
 def _weighted_fails_pushforward(monkeypatch):
@@ -146,10 +234,10 @@ class TestCounterexamples:
     ])
     def test_first_in_corpus_order(self, monkeypatch, workers, name, inject,
                                    checked, violations, expected):
-        if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("workers see the injected fault only when forked")
+        if workers > 1:
+            _require_fork()
         inject(monkeypatch)
-        result = run_suite(name, workers=workers, **SMALL)
+        result = run_all(suite_names=[name], workers=workers, **SMALL)[0]
         assert (result.checked, result.violations) == (checked, violations)
         assert result.counterexample == expected
         assert f"first counterexample: {expected}" in result.line()

@@ -1,7 +1,7 @@
 import argparse
+import concurrent.futures
 import gc
 import json
-import multiprocessing
 import sys
 import time
 from pathlib import Path
@@ -85,6 +85,9 @@ class TestDivisorParsing:
             parse_divisor("(1,2)", triangle_doubled)
         with pytest.raises(DocumentError):
             parse_divisor("(a,b,c)", triangle_doubled)
+        for spec in ("(1,,2,3)", "(,1,2,3)", "(1,2,3,)"):
+            with pytest.raises(DocumentError):
+                parse_divisor(spec, triangle_doubled)
         with pytest.raises(DocumentError):
             parse_divisor("nope", triangle_doubled, {})
 
@@ -114,9 +117,11 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.strip() == "invariant factors [3], order 3"
 
     def test_usage_error_is_2(self, capsys):
-        code = main(["rank", fixture("binary_g2.json"), "--divisor", "(1,2,3)"])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        # a wrong entry count, then an empty entry in a right-sized divisor
+        for spec in ("(1,2,3)", "(1,,2)"):
+            code = main(["rank", fixture("binary_g2.json"), "--divisor", spec])
+            assert code == 2
+            assert "error:" in capsys.readouterr().err
 
     def test_missing_file_is_2(self, capsys):
         code = main(["genus", "no_such_file.json"])
@@ -231,12 +236,13 @@ class TestVerifyArguments:
         ("--coeff-box", "-1"),
         ("--random-functions", "-1"),
         ("--workers", "two"),
+        ("--max-degree", "-1"),
     ])
     def test_refused_before_any_work(self, flag, value, monkeypatch, capsys):
         def started(*args, **kwargs):
             raise AssertionError("verify started work")
 
-        monkeypatch.setattr(multiprocessing, "Pool", started)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
         monkeypatch.setattr(verify, "connected_multigraphs", started)
         with pytest.raises(SystemExit) as refused:
             main(["verify", flag, value])
