@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import verify as verify_mod
@@ -239,29 +240,11 @@ def _cmd_verify(args):
         random_functions=args.random_functions,
     )
     failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "result": not failed,
-            "details": {
-                "suites": [
-                    {
-                        "name": r.name,
-                        "checked": r.checked,
-                        "violations": r.violations,
-                        "counterexample": r.counterexample,
-                    }
-                    for r in results
-                ]
-            },
-        }
-        print(json.dumps(payload, ensure_ascii=False))
-    else:
-        for r in results:
-            print(r.line())
-        total = sum(r.checked for r in results)
-        print(f"{'FAIL' if failed else 'ok  '} total checks: {total}")
-    return NEGATIVE if failed else OK
+    total = sum(r.checked for r in results)
+    text = "\n".join([r.line() for r in results]
+                     + [f"{'FAIL' if failed else 'ok  '} total checks: {total}"])
+    return _emit(args, "verify", not failed, details={"suites": [asdict(r) for r in results]},
+                 text=text, exit_code=NEGATIVE if failed else OK)
 
 
 # -- parser -----------------------------------------------------------------

@@ -8,11 +8,14 @@ lexicographic minimum of its orbit under vertex permutations. The result
 is deterministic and ordered, so counterexample reports are stable.
 """
 
-from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
+from math import comb
 
+from .errors import EnumerationCapExceeded
 from .graphs import DisjointSets, Graph
 from .intmat import bounded_vectors
+
+MAX_CANDIDATES = 2_000_000  # (7, 6, 0) has 1.70 M and enumerates in under 20 s
 
 
 def _pair_types(n):
@@ -25,13 +28,25 @@ def _connected(n, pairs, counts):
     return merges == n - 1
 
 
-@lru_cache(maxsize=None)
+def check_enumeration_caps(max_vertices, max_edges, max_total_weight):
+    """Refuse caps past MAX_CANDIDATES candidates (edge multiplicities on n(n+1)/2
+    vertex pairs times weight vectors), then return the vertex counts worth
+    enumerating: a connected graph on n vertices has at least n - 1 edges."""
+    vertex_counts = range(1, min(max_vertices, max_edges + 1) + 1)
+    sizes = (comb(max_edges + n * (n + 1) // 2, max_edges) * comb(max(max_total_weight + n, 0), n)
+             for n in vertex_counts)
+    if any(total > MAX_CANDIDATES for total in accumulate(sizes)):
+        raise EnumerationCapExceeded(f"corpus caps {max_vertices}, {max_edges}, {max_total_weight}"
+                                     f" give over {MAX_CANDIDATES:,} candidate graphs")
+    return vertex_counts
+
+
 def connected_multigraphs(max_vertices=4, max_edges=6, max_total_weight=0):
     """Connected weighted multigraphs (loops allowed) with at most the given
     vertex, edge, and total-weight budgets, one representative per
     isomorphism class, in a fixed deterministic order."""
     graphs = []
-    for n in range(1, max_vertices + 1):
+    for n in check_enumeration_caps(max_vertices, max_edges, max_total_weight):
         pairs = _pair_types(n)
         pair_index = {p: k for k, p in enumerate(pairs)}
         actions = []

@@ -17,24 +17,24 @@ Two structural facts keep the sweeps honest while trimming repeated work:
 Only three sweep sizes vary per run, ``run_all``'s ``coeff_bound``,
 ``max_degree`` and ``random_functions``; the others are module constants.
 
-Each suite runs as ``workers`` shards of corpus indices. Whole
-adjacencies are dealt round-robin, so a suite that sweeps each adjacency
-once sees it in one shard. Shard 0 runs in the calling process and shard i
-in the i-th worker process, the same process for every suite of a run, so
-the rank memos riemann_roch warms for a shard serve that shard's later
-suites. Workers rebuild the corpus from its parameters (cached per
-process), and the merged counterexample is the one with the smallest
-corpus index, so results do not depend on the worker count.
+A run is ``workers`` shards, one task each; shard 0 runs in the calling
+process. The corpus is grouped by non-loop adjacency and the groups are
+dealt round-robin, so a suite that sweeps each adjacency once sees it in
+one shard. A shard runs every suite on a group before it takes the next,
+so rank memos warmed by riemann_roch serve the later suites, and only one
+group's graphs and memos are alive at a time. The merged counterexample
+has the smallest corpus index, so results do not depend on the worker count.
 """
 
 import json
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Optional
 
-from .corpus import connected_multigraphs
+from .corpus import check_enumeration_caps, connected_multigraphs
 from .divisors import Divisor, RationalFunction, canonical_divisor, firing_divisor
 from .intmat import IntegerLattice
 from .io import document_of
@@ -582,61 +582,63 @@ SUITES = {
 
 
 def _deal(graphs, shards):
-    """Corpus indices in ``shards`` lists, whole adjacencies dealt
-    round-robin: a suite that sweeps each adjacency once sees it in exactly
-    one shard, as it would inline."""
-    order = {}
-    dealt = [[] for _ in range(shards)]
+    """Each shard's groups, the corpus indices of one non-loop adjacency in
+    corpus order, dealt round-robin: each adjacency is in exactly one shard."""
+    groups = {}
     for i, g in enumerate(graphs):
-        dealt[order.setdefault(g.adjacency, len(order)) % shards].append(i)
-    return dealt
+        groups.setdefault(g.adjacency, []).append(i)
+    return [list(groups.values())[shard::shards] for shard in range(shards)]
 
 
-def _run_shard(suite_name, corpus_params, indices, params):
+def _run_suite(body, items, params):
+    """One suite body's (checked, violations, first, seconds) on one group."""
+    started = time.perf_counter()
+    rec = body(items, params)  # holds a graph, so it must not outlive this call
+    return rec.checked, rec.violations, rec.first, time.perf_counter() - started
+
+
+def _run_shard(names, corpus_params, shard, workers, params):
+    """Run the named suites on one shard, a group at a time, and return for
+    each suite its ``_run_suite`` tuple on every group."""
     graphs = connected_multigraphs(*corpus_params)
-    items = [(i, graphs[i]) for i in indices]
-    rec = SUITES[suite_name](items, params)
-    return rec.checked, rec.violations, rec.first
+    groups = [[(i, graphs[i]) for i in group]
+              for group in reversed(_deal(graphs, workers)[shard])]
+    del graphs  # each group's graphs, and their memos, die with the group
+    runs = [[] for _ in names]
+    while groups:
+        items = groups.pop()
+        for name, done in zip(names, runs):
+            done.append(_run_suite(SUITES[name], items, params))
+    return runs
 
 
-def _merge(name, parts):
-    checked = sum(p[0] for p in parts)
-    violations = sum(p[1] for p in parts)
-    firsts = [p[2] for p in parts if p[2] is not None]
-    first = min(firsts, default=None)
-    return SuiteResult(name, checked, violations, first[1] if first else None)
+def _merge(name, shards):
+    runs = [run for shard in shards for run in shard]
+    first = min((run[2] for run in runs if run[2]), default=None)
+    return SuiteResult(name, sum(run[0] for run in runs), sum(run[1] for run in runs),
+                       first and first[1], max(sum(run[3] for run in shard) for shard in shards))
 
 
 def run_all(*, max_vertices=4, max_edges=6, max_total_weight=2, workers=1,
             suite_names=None, coeff_bound=COEFF_BOUND, max_degree=None,
             random_functions=RANDOM_FUNCTIONS):
-    """Run the listed suites (all of them by default), one after another,
-    and return their results in order. Every suite runs as ``workers``
-    shards: shard 0 in the calling process, and each other shard in its
-    own single-process executor, the same one for every suite of the run."""
+    """Run the listed suites (all of them by default) and return their
+    results in order. The run is ``workers`` shards: shard 0 in the calling
+    process, the others in a pool of ``workers - 1`` processes. A suite's
+    ``seconds`` is the largest of its shards' times in that suite."""
     names = suite_names or list(SUITES)
     corpus_params = (max_vertices, max_edges, max_total_weight)
+    check_enumeration_caps(*corpus_params)
     params = {"coeff_bound": coeff_bound, "max_degree": max_degree,
               "random_functions": random_functions}
-    own, *others = _deal(connected_multigraphs(*corpus_params), workers)
-    executors = []
-    if others:
+    shard = partial(_run_shard, names, corpus_params, workers=workers, params=params)
+    if workers == 1:
+        shards = [shard(0)]
+    else:
         # imported here, not at the top: every CLI query imports this module
         from concurrent.futures import ProcessPoolExecutor
 
-        executors = [ProcessPoolExecutor(max_workers=1) for _ in others]
-    try:
-        results = []
-        for name in names:
-            started = time.perf_counter()
-            futures = [ex.submit(_run_shard, name, corpus_params, indices, params)
-                       for ex, indices in zip(executors, others)]
-            parts = [_run_shard(name, corpus_params, own, params)]
-            parts += [f.result() for f in futures]
-            result = _merge(name, parts)
-            result.seconds = time.perf_counter() - started
-            results.append(result)
-    finally:
-        for ex in executors:
-            ex.shutdown(cancel_futures=True)
-    return results
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(shard, i) for i in range(1, workers)]
+            shards = [shard(0)] + [f.result() for f in futures]
+    return [_merge(name, [runs[k] for runs in shards]) for k, name in enumerate(names)]

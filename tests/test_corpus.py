@@ -1,17 +1,19 @@
+import gc
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
 import textwrap
-from collections import Counter
+import weakref
 from itertools import permutations
 from pathlib import Path
 
 import pytest
 
-from divgraph import verify
+from divgraph import corpus, verify
 from divgraph.corpus import connected_multigraphs, weightless
+from divgraph.errors import EnumerationCapExceeded
 from divgraph.verify import SUITES, run_all
 
 SMALL = {"max_vertices": 3, "max_edges": 4, "max_total_weight": 1}
@@ -99,6 +101,20 @@ class TestEnumeration:
         b = connected_multigraphs(3, 4, 1)
         assert list(a) == list(b)
 
+    @pytest.mark.parametrize("caps", [(8, 7, 0), (4, 6, 40), (4, 10, 2)])
+    def test_caps_past_the_candidate_limit_raise_at_once(self, caps, monkeypatch):
+        def enumerated(*args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(corpus, "bounded_vectors", enumerated)
+        with pytest.raises(EnumerationCapExceeded):
+            connected_multigraphs(*caps)
+
+    def test_no_vertex_count_past_the_edges_is_enumerated(self):
+        # 12 vertices and no edge: only the single vertex is connected,
+        # and no permutation of 12 vertices is ever listed
+        assert connected_multigraphs(12, 0, 0) == connected_multigraphs(1, 0, 0)
+
 
 class TestSuitesSmallCaps:
     def test_all_suites_pass(self):
@@ -151,8 +167,9 @@ class TestShardProcesses:
 
         def logging_suite(suite):
             def body(items, params):
+                adjacencies = {g.adjacency for _, g in items}
                 with log.open("a") as out:
-                    out.write(f"{suite} {items[0][0]} {os.getpid()}\n")
+                    out.write(f"{suite} {items[0][0]} {len(adjacencies)} {os.getpid()}\n")
                 return verify._Recorder()
             return body
 
@@ -160,14 +177,42 @@ class TestShardProcesses:
             monkeypatch.setitem(SUITES, suite, logging_suite(suite))
         run_all(suite_names=["first", "second"], workers=2, **SMALL)
         runs = [line.split() for line in log.read_text().splitlines()]
-        assert Counter(suite for suite, _, _ in runs) == {"first": 2, "second": 2}
-        pids = {}
-        for _, first_index, pid in runs:
-            pids.setdefault(int(first_index), set()).add(int(pid))
-        assert len(pids) == 2
-        assert all(len(shard) == 1 for shard in pids.values())
-        assert pids[0] == {os.getpid()}
-        assert len(set.union(*pids.values())) == 2
+        # every body call sees one adjacency group
+        assert {adjacencies for _, _, adjacencies, _ in runs} == {"1"}
+        groups = {}
+        for suite, first_index, _, pid in runs:
+            groups.setdefault(int(first_index), []).append((suite, int(pid)))
+        assert len(groups) == len({g.adjacency for g in connected_multigraphs(**SMALL)})
+        # each group runs every suite, in order, in one process
+        for calls in groups.values():
+            assert [suite for suite, _ in calls] == ["first", "second"]
+            assert len({pid for _, pid in calls}) == 1
+        assert groups[0][0][1] == os.getpid()
+        assert len({pid for calls in groups.values() for _, pid in calls}) == 2
+
+    def test_earlier_groups_are_freed(self, monkeypatch):
+        refs = {}  # first corpus index of a group -> weak references to its graphs
+        alive_at_start = []  # graphs of earlier groups alive as each group starts
+
+        def watch(items, params):
+            alive_at_start.append(sum(r() is not None for rs in refs.values() for r in rs))
+            refs[items[0][0]] = [weakref.ref(g) for _, g in items]
+            return verify._Recorder()
+
+        monkeypatch.setitem(SUITES, "watch", watch)
+        gc.collect()
+        gc.disable()
+        try:
+            # the real suites fill the rank and model memos on every graph
+            results = run_all(suite_names=["watch", "riemann_roch", "rank_properties",
+                                           "semibalanced"], **SMALL)
+            assert len(alive_at_start) == len({g.adjacency
+                                               for g in connected_multigraphs(**SMALL)})
+            assert alive_at_start == [0] * len(alive_at_start)
+            assert not any(r() for rs in refs.values() for r in rs)
+        finally:
+            gc.enable()
+        assert all(r.checked > 0 and r.passed for r in results[1:])
 
     def test_dead_worker_raises(self):
         _require_fork()

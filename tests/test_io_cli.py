@@ -249,6 +249,17 @@ class TestVerifyArguments:
         assert refused.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 
+    def test_caps_past_the_candidate_limit_refused_before_any_work(self, monkeypatch,
+                                                                    capsys):
+        def started(*args, **kwargs):
+            raise AssertionError("verify started work")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(verify, "connected_multigraphs", started)
+        assert main(["verify", "--max-vertices", "8", "--max-edges", "7",
+                     "--workers", "2"]) == 2
+        assert "candidate graphs" in capsys.readouterr().err
+
 
 class TestCliJson:
     def run_json(self, capsys, argv):
@@ -379,6 +390,8 @@ class TestCliWorkflows:
         assert payload["result"] is True
         names = {s["name"] for s in payload["details"]["suites"]}
         assert "equivalence_oracles" in names
+        for suite in payload["details"]["suites"]:
+            assert isinstance(suite["seconds"], (int, float)) and suite["seconds"] >= 0
 
     def test_verify_max_degree_zero(self, capsys):
         code = main(["verify", "--max-vertices", "2", "--max-edges", "3",
