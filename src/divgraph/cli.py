@@ -20,8 +20,8 @@ from . import verify as verify_mod
 from .divisors import Divisor, canonical_divisor
 from .errors import DivisorGraphError
 from .io import document_of, load_document, parse_divisor
-from .picard import enumerate_classes, is_equivalent, picard_structure, q_reduce
-from .rank import certify_rank_below, check_clifford_degree, rank
+from .picard import CLASS_CAP, enumerate_classes, is_equivalent, picard_structure, q_reduce
+from .rank import DEFAULT_DEGREE_CAP, certify_rank_below, check_clifford_degree, rank
 from .transforms import (
     balance_bound,
     balance_report,
@@ -283,7 +283,7 @@ def _build_parser():
 
     p = add("rank", _cmd_rank, help="Baker-Norine rank of a divisor")
     p.add_argument("--divisor", required=True)
-    p.add_argument("--max-search-degree", type=int, default=30)
+    p.add_argument("--max-search-degree", type=int, default=DEFAULT_DEGREE_CAP)
 
     p = add("reduce", _cmd_reduce, help="q-reduced representative")
     p.add_argument("--divisor", required=True)
@@ -297,7 +297,7 @@ def _build_parser():
 
     p = add("classes", _cmd_classes, help="one representative per divisor class")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--cap", type=int, default=10**6)
+    p.add_argument("--cap", type=int, default=CLASS_CAP)
 
     p = add("contract", _cmd_contract, help="contract a set of edges")
     p.add_argument("--edges", type=int, nargs="+", required=True,
@@ -335,8 +335,9 @@ def _build_parser():
     p.add_argument("--max-edges", type=_int_in(0), default=6)
     p.add_argument("--max-weight", type=_int_in(0), default=2)
     p.add_argument("--max-degree", type=_int_in(0), default=None)
-    p.add_argument("--coeff-box", type=_int_in(0), default=3)
-    p.add_argument("--random-functions", type=_int_in(0), default=1000)
+    p.add_argument("--coeff-box", type=_int_in(0), default=verify_mod.COEFF_BOUND)
+    p.add_argument("--random-functions", type=_int_in(0),
+                   default=verify_mod.RANDOM_FUNCTIONS)
     p.add_argument("--workers", type=_int_in(1, verify_mod.MAX_WORKERS), default=1)
     return parser
 

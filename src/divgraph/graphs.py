@@ -5,7 +5,8 @@ operation is a pure function of the inputs, and derived structures
 (Laplacian data, BFS layers, the loopless model) are memoised internally.
 Other modules read the adjacency through the public view (``adjacency``,
 ``neighbors``, ``degrees``, ``edge_pairs``, ``reduced_laplacian``,
-``cut_size``) and memoise their own per-graph data with ``Graph.memo``.
+``cut_size``), move chips across a cut with ``fire``, and memoise their
+own per-graph data with ``Graph.memo``.
 
 Conventions baked in here:
   * connectivity ignores loop edges (loops never disconnect anything);
@@ -244,6 +245,19 @@ class Graph:
         nbrs = self._neighbors
         return sum(m for i in inside for j, m in nbrs[i] if j not in inside)
 
+    def fire(self, coeffs, indices, times=1):
+        """Fire the index set ``times`` times on the list ``coeffs``, in
+        place: each non-loop edge leaving the set carries ``times`` chips
+        out of it (a negative ``times`` moves chips in). The graph itself
+        does not change."""
+        inside = set(indices)
+        nbrs = self._neighbors
+        for i in inside:
+            for j, m in nbrs[i]:
+                if j not in inside:
+                    coeffs[i] -= times * m
+                    coeffs[j] += times * m
+
     def memo(self, key, build):
         """The value memoised on this graph under ``key``, made by
         ``build(graph)`` on first use. The graph is immutable, so the
@@ -280,29 +294,8 @@ class Graph:
         return not seen[j]
 
     def bfs_layers(self, q):
-        """Vertex indices grouped by edge distance from q (index), cached."""
-        key = ("layers", q)
-        layers = self._cache.get(key)
-        if layers is None:
-            n = len(self._ids)
-            dist = [-1] * n
-            dist[q] = 0
-            order = [q]
-            queue = deque([q])
-            while queue:
-                u = queue.popleft()
-                for w, _ in self._neighbors[u]:
-                    if dist[w] < 0:
-                        dist[w] = dist[u] + 1
-                        order.append(w)
-                        queue.append(w)
-            depth = max(dist)
-            layers = [[] for _ in range(depth + 1)]
-            for v in order:
-                layers[dist[v]].append(v)
-            layers = tuple(tuple(layer) for layer in layers)
-            self._cache[key] = layers
-        return layers
+        """Vertex indices grouped by edge distance from q (index), memoised."""
+        return self.memo(("layers", q), lambda g: _bfs_layers(g, q))
 
     def contract(self, edge_subset):
         """Contract every edge in ``edge_subset`` (a set of edge indices).
@@ -377,6 +370,25 @@ class Graph:
                 new_edges.append((v, mid))
                 new_edges.append((v, mid))
         return LooplessModel(len(self._ids), Graph(new_vertices, new_edges))
+
+
+def _bfs_layers(graph, q):
+    nbrs = graph.neighbors
+    dist = [-1] * graph.vertex_count
+    dist[q] = 0
+    order = [q]
+    queue = deque([q])
+    while queue:
+        u = queue.popleft()
+        for w, _ in nbrs[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                order.append(w)
+                queue.append(w)
+    layers = [[] for _ in range(max(dist) + 1)]
+    for v in order:
+        layers[dist[v]].append(v)
+    return tuple(tuple(layer) for layer in layers)
 
 
 def _reduced_laplacian(graph):

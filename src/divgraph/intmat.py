@@ -75,87 +75,48 @@ def determinant(rows):
 
 def smith_normal_form(rows):
     """Nonnegative diagonal of the Smith normal form of an integer matrix,
-    as a list d_1 | d_2 | ... (divisibility enforced), zeros included."""
-    if not rows or not rows[0]:
-        return []
+    as a list d_1 | d_2 | ..., zeros included.
+
+    Least-entry pivoting: move an entry of least absolute value to the
+    corner and clear its row and column by division with remainder; a
+    nonzero remainder is smaller than the corner and restarts the round.
+    If the corner then fails to divide some entry of the rest, that row is
+    added to the first row and the round restarts. The corner only shrinks,
+    so this ends, and each corner divides all that is left: it is the next
+    invariant factor.
+    """
     m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = min(nrows, ncols)
     diag = []
-    top = 0
-    while top < rank:
-        # locate a nonzero pivot
-        pi = pj = -1
-        for i in range(top, nrows):
-            for j in range(top, ncols):
-                if m[i][j] != 0:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        m[top], m[pi] = m[pi], m[top]
+    while m and m[0]:
+        least = min(((abs(a), i, j) for i, row in enumerate(m)
+                     for j, a in enumerate(row) if a), default=None)
+        if least is None:
+            return diag + [0] * min(len(m), len(m[0]))
+        _, pi, pj = least
+        m[0], m[pi] = m[pi], m[0]
         for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        # clear row and column `top`, replacing the pivot by gcds as needed
-        while True:
-            pivot = m[top][top]
-            dirty = False
-            for i in range(top + 1, nrows):
-                a = m[i][top]
-                if a == 0:
-                    continue
-                if a % pivot == 0:
-                    q = a // pivot
-                    for j in range(top, ncols):
-                        m[i][j] -= q * m[top][j]
-                else:
-                    x, y, g = xgcd(pivot, a)
-                    p_g, a_g = pivot // g, a // g
-                    for j in range(top, ncols):
-                        u, v = m[top][j], m[i][j]
-                        m[top][j] = x * u + y * v
-                        m[i][j] = p_g * v - a_g * u
-                    dirty = True
-                    pivot = m[top][top]
-            for j in range(top + 1, ncols):
-                a = m[top][j]
-                if a == 0:
-                    continue
-                if a % pivot == 0:
-                    q = a // pivot
-                    for i in range(top, nrows):
-                        m[i][j] -= q * m[i][top]
-                else:
-                    x, y, g = xgcd(pivot, a)
-                    p_g, a_g = pivot // g, a // g
-                    for i in range(top, nrows):
-                        u, v = m[i][top], m[i][j]
-                        m[i][top] = x * u + y * v
-                        m[i][j] = p_g * v - a_g * u
-                    dirty = True
-                    pivot = m[top][top]
-            if not dirty:
-                break
-        diag.append(abs(m[top][top]))
-        top += 1
-    while len(diag) < rank:
-        diag.append(0)
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b % a != 0:
-                _, _, g = xgcd(a, b)
-                g = abs(g)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
+            row[0], row[pj] = row[pj], row[0]
+        top = m[0]
+        p = top[0]
+        for row in m[1:]:
+            q = row[0] // p
+            if q:
+                for j, a in enumerate(top):
+                    row[j] -= q * a
+        for j in range(1, len(top)):
+            q = top[j] // p
+            if q:
+                for row in m:
+                    row[j] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(top[1:]):
+            continue
+        rest = [row[1:] for row in m[1:]]
+        bad = next((row for row in rest if any(a % p for a in row)), None)
+        if bad is not None:
+            top[1:] = bad  # adds the row, as top is (p, 0, ..., 0)
+            continue
+        diag.append(abs(p))
+        m = rest
     return diag
 
 

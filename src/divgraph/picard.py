@@ -9,67 +9,51 @@ nonnegative away from q and no subset of V - {q} can fire without going
 negative, which Dhar's burning test certifies. q-reduction runs in two
 stages: a sweep over BFS layers that set-fires balls around q until every
 vertex away from q is nonnegative, then the burning loop that fires the
-unburnt set (with a multi-fire shortcut) until everything burns.
+unburnt set (with a multi-fire shortcut) until everything burns. Both
+stages move chips only through ``Graph.fire``.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .divisors import Divisor, firing_divisor
 from .errors import EnumerationCapExceeded, GraphMismatch
 from .graphs import Graph
 from .intmat import IntegerLattice, smith_normal_form
 
+CLASS_CAP = 10**6  # most classes enumerate_classes lists by default
+
 
 def reduce_coeffs(graph: Graph, coeffs, q: int):
     """q-reduced form of a coefficient tuple; q is a vertex index."""
     n = graph.vertex_count
-    if n == 1:
-        return tuple(coeffs)
     d = list(coeffs)
     adj = graph.adjacency
-    nbrs = graph.neighbors
 
     # stage 1: make d nonnegative away from q, outermost layer first.
     # Firing the ball of radius k-1 moves chips only from layer k-1 to
     # layer k, so later sweeps never disturb the layers already fixed.
     layers = graph.bfs_layers(q)
     for k in range(len(layers) - 1, 0, -1):
-        layer = layers[k]
         inner = layers[k - 1]
         t = 0
-        gains = []
-        for v in layer:
-            row = adj[v]
-            gain = sum(row[u] for u in inner)
-            gains.append(gain)
+        for v in layers[k]:
             if d[v] < 0:
-                need = (-d[v] + gain - 1) // gain
-                if need > t:
-                    t = need
+                gain = sum(adj[v][u] for u in inner)
+                t = max(t, (gain - d[v] - 1) // gain)
         if t:
-            for v, gain in zip(layer, gains):
-                d[v] += t * gain
-            layer_set = set(layer)
-            for u in inner:
-                row = adj[u]
-                d[u] -= t * sum(row[v] for v in layer_set)
+            graph.fire(d, chain.from_iterable(layers[:k]), t)
 
     # stage 2: Dhar's burning loop with multi-fire of the unburnt set.
+    # heat[v] is an unburnt v's cut degree and at most d[v], so t >= 1.
+    nbrs = graph.neighbors
     while True:
         burnt, heat = _burn(nbrs, d, q)
-        if all(burnt):
-            return tuple(d)
         unburnt = [v for v in range(n) if not burnt[v]]
-        # every unburnt v satisfies heat[v] <= d[v], so t >= 1
+        if not unburnt:
+            return tuple(d)
         t = min(d[v] // heat[v] for v in unburnt if heat[v])
-        for v in unburnt:
-            d[v] -= t * heat[v]
-        for w in range(n):
-            if burnt[w]:
-                row = adj[w]
-                gain = sum(row[v] for v in unburnt)
-                if gain:
-                    d[w] += t * gain
+        graph.fire(d, unburnt, t)
 
 
 def _burn(nbrs, d, q):
@@ -191,7 +175,7 @@ def superstable_configs(graph: Graph, q: int):
     return found
 
 
-def enumerate_classes(graph: Graph, degree: int, cap: int = 10**6):
+def enumerate_classes(graph: Graph, degree: int, cap: int = CLASS_CAP):
     """One q-reduced representative per divisor class of the given degree,
     with q the first vertex, in lexicographic order."""
     count = graph.complexity()

@@ -156,7 +156,13 @@ def rank(
     model = graph.loopless_model()
     coeffs = model.embed_coeffs(divisor.coeffs)
     engine = _RankEngine(model.model)
-    value = engine.rank(coeffs)
+    try:
+        value = engine.rank(coeffs)
+    except RecursionError:
+        # two frames per degree; the memo keeps only completed states
+        raise DegreeCapExceeded(
+            f"degree {divisor.degree} is too deep for the recursive rank search"
+        ) from None
     witness = _witness(engine, coeffs, value) if with_witness else None
     return RankResult(value, witness)
 

@@ -165,8 +165,8 @@ def find_semibalanced_representative(graph: Graph, divisor: Divisor) -> Divisor:
     """Semibalanced representative of the class by set-firing descent: while
     some set Z is violated (``first_violation``; a weight-0 valency-2 vertex
     v at d(v) < 0 counts as Z = {v}), fire its complement S, which moves
-    one chip into Z along each edge of the cut. A semibalanced input comes
-    back unchanged.
+    one chip into Z along each edge of the cut, as firing Z -1 times does.
+    A semibalanced input comes back unchanged.
 
     Termination: with c = k*deg/(2g-2) and E(D) = (D-c)^T L^+ (D-c), firing
     S changes E by cut(S) - 2(D-c)(S), and a violated Z has (D-c)(S) >
@@ -177,13 +177,7 @@ def find_semibalanced_representative(graph: Graph, divisor: Divisor) -> Divisor:
     so every vertex would be one: a cycle of genus 1, which is excluded.
     """
     ctx = _balance_ctx(graph)
-    neighbors = graph.neighbors
     coeffs = list(divisor.coeffs)
     while (zs := ctx.first_violation(coeffs)) is not None:
-        inside = set(zs)
-        for i in zs:
-            for j, m in neighbors[i]:
-                if j not in inside:
-                    coeffs[i] += m
-                    coeffs[j] -= m
+        graph.fire(coeffs, zs, -1)
     return Divisor(graph, coeffs)

@@ -18,6 +18,7 @@ from divgraph import (
     riemann_roch_check,
 )
 from divgraph.corpus import connected_multigraphs
+from divgraph.divisors import firing_divisor
 from divgraph.errors import (
     DisconnectedGraph,
     LoopInContractionSet,
@@ -296,6 +297,33 @@ class TestAdjacencyView:
                 for zs in combinations(range(g.vertex_count), size):
                     names = {ids[i] for i in zs}
                     assert g.cut_size(zs) == g.intersection(names, everything - names)
+
+    @pytest.mark.parametrize("times", (-2, -1, 1, 2))
+    def test_fire_moves_the_firing_divisors_of_the_set(self, times):
+        for g in connected_multigraphs(3, 5, 2):
+            n = g.vertex_count
+            moves = [firing_divisor(g, v).coeffs for v in g.vertex_ids]
+            for size in range(1, n + 1):
+                for zs in combinations(range(n), size):
+                    coeffs = [0] * n
+                    g.fire(coeffs, zs, times)
+                    assert coeffs == [times * sum(moves[i][k] for i in zs) for k in range(n)]
+                    start = [3 * k - 4 for k in range(n)]
+                    coeffs = list(start)
+                    g.fire(coeffs, zs, times)
+                    assert sum(coeffs) == sum(start)
+                    if size == n:
+                        assert coeffs == start
+
+    def test_fire_sends_no_chips_along_loops(self):
+        g = Graph([("v", 2), ("w", 0)], [("v", "w"), ("v", "v"), ("w", "w"), ("v", "w")])
+        coeffs = [5, 1]
+        g.fire(coeffs, [0])
+        assert coeffs == [3, 3]
+        g.fire(coeffs, [1], -3)
+        assert coeffs == [-3, 9]
+        g.fire(coeffs, [0, 1], 7)
+        assert coeffs == [-3, 9]
 
     def test_view(self, triangle_doubled):
         g = triangle_doubled

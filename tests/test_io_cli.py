@@ -170,6 +170,12 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too deeply" in err
 
+    def test_rank_search_too_deep_is_2(self, capsys):
+        assert main(["rank", fixture("cycle3.json"), "--divisor", "(500,0,0)",
+                     "--max-search-degree", "500"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: degree 500 ") and err.count("\n") == 1
+
 
 class TestCliParser:
     def test_built_once_for_many_calls(self, monkeypatch, capsys):

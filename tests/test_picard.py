@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -13,6 +14,7 @@ from divgraph import (
 )
 from divgraph.corpus import connected_multigraphs
 from divgraph.errors import EnumerationCapExceeded, GraphMismatch
+from divgraph.intmat import smith_normal_form
 from divgraph.oracles import equivalent_by_firing, spanning_tree_count
 from divgraph.picard import reduce_coeffs, superstable_configs
 
@@ -149,6 +151,38 @@ class TestPicardStructure:
             s = picard_structure(cycle(n))
             assert s.invariant_factors == (n,)
             assert s.order == n
+
+
+def _sympy_invariant_factors(rows):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    return [abs(int(d)) for d in invariant_factors(sympy.Matrix(rows), domain=sympy.ZZ)]
+
+
+class TestSmithNormalForm:
+    def test_empty_zero_and_divisibility_chain(self):
+        assert smith_normal_form([]) == []
+        assert smith_normal_form([[]]) == []
+        assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == [0, 0]
+        assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+        assert smith_normal_form([[6, 0], [0, 4]]) == [2, 12]
+        assert smith_normal_form([[-3]]) == [3]
+
+    def test_random_matrices_match_sympy(self):
+        rng = random.Random(20261019)
+        for trial in range(400):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            zeros = 1.0 if trial % 40 == 0 else 0.3
+            rows = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            assert smith_normal_form(rows) == _sympy_invariant_factors(rows), rows
+
+    def test_reduced_laplacians_match_sympy(self):
+        for g in connected_multigraphs(3, 5, 2):
+            rows = g.reduced_laplacian()
+            if rows:
+                assert smith_normal_form(rows) == _sympy_invariant_factors(rows), rows
 
 
 class TestEnumerateClasses:

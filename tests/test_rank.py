@@ -148,6 +148,13 @@ class TestRankGuards:
             rank(binary2, Divisor(binary2, (40, 0)))
         assert rank(binary2, Divisor(binary2, (40, 0)), max_degree=50).value == 38
 
+    def test_search_too_deep_for_the_stack(self):
+        g = cycle(3)
+        with pytest.raises(DegreeCapExceeded, match="degree 500"):
+            rank(g, Divisor(g, (500, 0, 0)), max_degree=500)
+        # the memo kept only completed states
+        assert rank(g, Divisor(g, (5, 0, 0))).value == 4
+
     def test_graph_mismatch(self, binary2, triangle_doubled):
         with pytest.raises(GraphMismatch):
             rank(binary2, Divisor(triangle_doubled, (0, 0, 0)))
