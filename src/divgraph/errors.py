@@ -38,7 +38,7 @@ class EnumerationCapExceeded(DivisorGraphError):
 
 
 class DegreeCapExceeded(DivisorGraphError):
-    """Rank computation refused: divisor degree exceeds the search cap."""
+    """Rank computation refused: degree or reductions past the search cap."""
 
 
 class RequiresWeightlessLoopless(DivisorGraphError):

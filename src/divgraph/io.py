@@ -92,10 +92,10 @@ def load_document(path):
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError:
         raise DocumentError(f"{path} nests its JSON too deeply") from None
     return parse_document(doc)

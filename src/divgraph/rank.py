@@ -8,11 +8,11 @@ loopless graph this is computed exactly by the classical recursion
     rank(d) = -1                      if no effective divisor ~ d,
     rank(d) = 1 + min_v rank(d - v)   otherwise,
 
-which is the increasing-degree search over effective test divisors e with
-the class-effectivity tests shared through q-reduced canonical forms: two
-test divisors whose remainders d - e are linearly equivalent cost one
-burning run between them. States are memoised per graph, so sweeping many
-divisors on one graph (as the property suites do) is cheap after warm-up.
+which is the increasing-degree search over effective test divisors e,
+sharing class-effectivity tests through q-reduced forms: remainders d - e
+that are linearly equivalent cost one burning run between them. States are
+memoised per graph. The recursion runs as one loop over an explicit stack,
+bounded by MAX_REDUCTIONS burns per call, since degree alone does not.
 
 General graphs are handled through their weightless loopless model: the
 divisor is extended by zeros on the midpoint vertices and ranked there.
@@ -35,6 +35,7 @@ from .intmat import compositions
 from .picard import is_equivalent, reduce_coeffs
 
 DEFAULT_DEGREE_CAP = 30
+MAX_REDUCTIONS = 250_000
 
 
 @dataclass(frozen=True)
@@ -57,53 +58,63 @@ class RankResult:
 class _RankEngine:
     """Rank search on one weightless loopless graph, a view built per call
     over two dicts memoised on it. They hold only tuples and ints, so they
-    die with the graph and need no size cap."""
+    die with the graph. Past MAX_REDUCTIONS burns it raises DegreeCapExceeded."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.vertex_count
+        self.reductions = 0
         self._reduced, self._rank = graph.memo("rank_memo", lambda g: ({}, {}))
 
     def reduced(self, coeffs):
         r = self._reduced.get(coeffs)
         if r is None:
+            self.reductions += 1
+            if self.reductions > MAX_REDUCTIONS:
+                raise DegreeCapExceeded(f"rank search past {MAX_REDUCTIONS} reductions")
             r = reduce_coeffs(self.graph, coeffs, 0)
             self._reduced[coeffs] = r
         return r
 
     def class_effective(self, coeffs):
-        if sum(coeffs) < 0:
-            return False
-        return self.reduced(coeffs)[0] >= 0
+        return sum(coeffs) >= 0 and self.reduced(coeffs)[0] >= 0
 
     def rank(self, coeffs):
         if sum(coeffs) < 0:
             return -1
         red = self.reduced(coeffs)
         val = self._rank.get(red)
-        if val is None:
-            val = self._rank_of_reduced(red)
-        return val
-
-    def _rank_of_reduced(self, red):
-        if red[0] < 0:
-            self._rank[red] = -1
-            return -1
-        best = None
-        n = self.n
-        rank = self.rank
-        for v in range(n):
-            child = list(red)
-            child[v] -= 1
-            rv = rank(tuple(child))
-            if rv == -1:
-                best = -1
-                break
-            if best is None or rv < best:
-                best = rv
-        val = 1 + best
-        self._rank[red] = val
-        return val
+        if val is not None:
+            return val
+        memo, n = self._rank, self.n  # a state enters memo once its rank is final
+        stack = []  # frames [reduced state, next vertex, least child rank]
+        while True:
+            if val is None:  # red is reduced and not ranked yet
+                if red[0] < 0:
+                    val = memo[red] = -1
+                else:  # a child's rank is at most its degree
+                    val = sum(red) - 1
+                    stack.append([red, 0, val])
+            if not stack:
+                return val
+            state, v, least = frame = stack[-1]
+            while True:
+                if val < least:
+                    least = val
+                if least == -1 or v == n:
+                    break
+                child = list(state)
+                child[v] -= 1
+                red = self.reduced(tuple(child))
+                val = memo.get(red)
+                v += 1
+                if val is None:
+                    break
+            if val is None:  # descend into red
+                frame[1], frame[2] = v, least
+            else:
+                stack.pop()
+                val = memo[state] = 1 + least
 
 
 def _witness(engine, coeffs, value):
@@ -156,13 +167,7 @@ def rank(
     model = graph.loopless_model()
     coeffs = model.embed_coeffs(divisor.coeffs)
     engine = _RankEngine(model.model)
-    try:
-        value = engine.rank(coeffs)
-    except RecursionError:
-        # two frames per degree; the memo keeps only completed states
-        raise DegreeCapExceeded(
-            f"degree {divisor.degree} is too deep for the recursive rank search"
-        ) from None
+    value = engine.rank(coeffs)
     witness = _witness(engine, coeffs, value) if with_witness else None
     return RankResult(value, witness)
 

@@ -136,6 +136,23 @@ class TestSuitesSmallCaps:
             assert (a.name, a.checked, a.violations) == (
                 b.name, b.checked, b.violations)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ci_corpus_counts_are_pinned(self, workers):
+        # the CI "Small verify run" corpus: 515,198 checks. A change that
+        # alters what a suite checks must change these numbers on purpose.
+        expected = {
+            "graph_invariants": 5344, "contraction_complexity": 3176,
+            "principal_divisors": 5546, "equivalence_oracles": 23252,
+            "reduction": 29145, "picard": 13304, "riemann_roch": 95122,
+            "rank_properties": 260258, "superadditivity": 52935,
+            "contraction_pushforward": 18670, "semibalanced": 1890,
+            "rank_oracle": 6556,
+        }
+        results = run_all(max_vertices=3, max_edges=5, max_total_weight=2,
+                          random_functions=40, workers=workers)
+        assert {r.name: (r.checked, r.violations) for r in results} == {
+            name: (checked, 0) for name, checked in expected.items()}
+
     def test_max_degree_cap_respected(self):
         capped = run_all(
             suite_names=["riemann_roch"], max_vertices=3, max_edges=3,

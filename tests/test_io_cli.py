@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from divgraph import Divisor, Graph
 from divgraph import cli, verify
@@ -25,6 +26,32 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+# json.dumps cannot write an integer past int's digit limit, so documents
+# carry this marker string and the fuzz test swaps the digits in as text
+HUGE = "@huge@"
+HUGE_DIGITS = "9" * 5000
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.just(HUGE)
+    | st.integers() | st.integers(-(10 ** 4000), 10 ** 4000),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+vertex_ids = st.sampled_from(["a", "b", "c"]) | json_values
+documents = json_values | st.fixed_dictionaries(
+    {"vertices": st.lists(
+        st.fixed_dictionaries({"id": vertex_ids}, optional={"weight": json_values})
+        | json_values, max_size=4) | json_values},
+    optional={
+        "edges": st.lists(st.lists(vertex_ids, max_size=3) | json_values, max_size=5)
+        | json_values,
+        "divisors": st.dictionaries(st.text(max_size=3), st.lists(json_values, max_size=4))
+        | json_values,
+    },
+)
 
 
 class TestDocuments:
@@ -69,6 +96,23 @@ class TestDocuments:
             with pytest.raises(DocumentError):
                 parse_document(doc)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=documents, cut=st.none() | st.integers(0, 200),
+           raw=st.none() | st.binary(max_size=40))
+    def test_fuzzed_documents(self, tmp_path, doc, cut, raw):
+        """Each file gives a graph or a DocumentError: generated documents,
+        cut short at some byte, or raw bytes."""
+        text = json.dumps(doc).replace(json.dumps(HUGE), HUGE_DIGITS).encode()
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw if raw is not None else text[:cut])
+        try:
+            graph, named = load_document(str(path))
+        except DocumentError:
+            return
+        assert isinstance(graph, Graph)
+        assert all(d.graph == graph for d in named.values())
+
 
 class TestDivisorParsing:
     def test_inline_ascii_and_unicode_minus(self, triangle_doubled):
@@ -90,6 +134,20 @@ class TestDivisorParsing:
                 parse_divisor(spec, triangle_doubled)
         with pytest.raises(DocumentError):
             parse_divisor("nope", triangle_doubled, {})
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(st.text() | st.lists(
+        st.text(alphabet="0123456789-\u2212_ ,()x", max_size=6) | st.just(HUGE_DIGITS),
+        max_size=5).map("".join))
+    def test_fuzzed_text(self, spec):
+        g = Graph(["v1", "v2", "v3"], [("v1", "v2"), ("v2", "v3")])
+        named = {"x": Divisor(g, (1, 0, -1))}
+        for text in (spec, f"({spec})"):
+            try:
+                d = parse_divisor(text, g, named)
+            except DocumentError:
+                continue
+            assert isinstance(d, Divisor) and d.graph == g
 
 
 class TestCliExitCodes:
@@ -162,6 +220,17 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "UTF-8" in err
 
+    @pytest.mark.parametrize("doc", [
+        '{"vertices":[{"id":"a","weight":%s}],"edges":[]}',
+        '{"vertices":[{"id":"a"}],"edges":[],"divisors":{"d":[%s]}}',
+    ])
+    def test_long_json_integer_is_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text(doc % HUGE_DIGITS, encoding="utf-8")
+        assert main(["genus", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON in ") and err.count("\n") == 1
+
     def test_deeply_nested_file_is_2(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
@@ -170,11 +239,17 @@ class TestCliExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "too deeply" in err
 
-    def test_rank_search_too_deep_is_2(self, capsys):
-        assert main(["rank", fixture("cycle3.json"), "--divisor", "(500,0,0)",
-                     "--max-search-degree", "500"]) == 2
+    def test_rank_deep_search(self, capsys):
+        assert main(["rank", fixture("cycle3.json"), "--divisor", "(2000,0,0)",
+                     "--max-search-degree", "2000"]) == 0
+        assert capsys.readouterr().out == "1999\n"
+
+    def test_rank_past_reduction_budget_is_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCTIONS", 40)
+        assert main(["rank", fixture("cycle3.json"), "--divisor", "(100,0,0)",
+                     "--max-search-degree", "100"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: degree 500 ") and err.count("\n") == 1
+        assert err == "error: rank search past 40 reductions\n"
 
 
 class TestCliParser:

@@ -1,6 +1,9 @@
+import sys
+from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divgraph import (
     DegreeZeroClass,
@@ -10,6 +13,7 @@ from divgraph import (
     certify_rank_below,
     clifford_check,
     degree_zero_classification,
+    firing_divisor,
     is_class_effective,
     rank,
     rank_weightless,
@@ -25,6 +29,31 @@ from divgraph.errors import (
 from divgraph.oracles import rank_by_definition
 
 from conftest import binary, cycle, single_vertex
+
+
+@st.composite
+def weighted_multigraphs(draw, max_model=None):
+    """Connected multigraphs on 5-7 vertices: a random spanning tree, up to
+    two more edges, and weight units and loops dealt to the vertices
+    (at most ``max_model`` vertices in the loopless model if given)."""
+    n = draw(st.integers(5, 7))
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(ids[a], ids[b]) for a, b in draw(st.lists(pair, max_size=2)) if a != b]
+    extra = 3 if max_model is None else max_model - n
+    units = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                          max_size=extra))
+    edges += [(ids[v], ids[v]) for v, is_loop in units if is_loop]
+    weights = Counter(v for v, is_loop in units if not is_loop)
+    return Graph([(v, weights[i]) for i, v in enumerate(ids)], edges)
+
+
+def divisors_of_degree(draw, g, low, high):
+    degree = draw(st.integers(low, high))
+    coeffs = draw(st.lists(st.integers(-2, 3), min_size=g.vertex_count - 1,
+                           max_size=g.vertex_count - 1))
+    return Divisor(g, (*coeffs, degree - sum(coeffs)))
 
 
 class TestClassEffectivity:
@@ -118,6 +147,38 @@ class TestRankAgainstDefinition:
             )
 
 
+class TestRankProperties:
+    """Seeded properties on graphs past the 4-vertex verify corpus."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.data())
+    def test_engine_equals_definition(self, data):
+        g = data.draw(weighted_multigraphs(max_model=8))
+        model = g.loopless_model()
+        for _ in range(3):
+            d = divisors_of_degree(data.draw, g, -1, 2)
+            emb = Divisor(model.model, model.embed_coeffs(d.coeffs))
+            assert rank(g, d).value == rank_by_definition(model.model, emb)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_riemann_roch(self, data):
+        g = data.draw(weighted_multigraphs())
+        genus = g.genus()
+        k = canonical_divisor(g)
+        for _ in range(4):
+            d = divisors_of_degree(data.draw, g, -1, 2 * genus)
+            assert rank(g, d).value - rank(g, k - d).value == d.degree - genus + 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_invariant_under_firing(self, data):
+        g = data.draw(weighted_multigraphs())
+        d = divisors_of_degree(data.draw, g, 0, g.genus() + 1)
+        v = data.draw(st.sampled_from(g.vertex_ids))
+        assert rank(g, d + firing_divisor(g, v)).value == rank(g, d).value
+
+
 class TestWitness:
     def test_witness_defeats_the_divisor(self, binary2):
         d = Divisor(binary2, (1, 1))
@@ -148,11 +209,24 @@ class TestRankGuards:
             rank(binary2, Divisor(binary2, (40, 0)))
         assert rank(binary2, Divisor(binary2, (40, 0)), max_degree=50).value == 38
 
-    def test_search_too_deep_for_the_stack(self):
+    def test_deep_search_runs_on_a_shallow_stack(self):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 50)
+        try:
+            g = cycle(3)
+            assert rank(g, Divisor(g, (2000, 0, 0)), max_degree=2000).value == 1999
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_reduction_budget(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCTIONS", 40)
         g = cycle(3)
-        with pytest.raises(DegreeCapExceeded, match="degree 500"):
-            rank(g, Divisor(g, (500, 0, 0)), max_degree=500)
-        # the memo kept only completed states
+        with pytest.raises(DegreeCapExceeded, match="past 40 reductions"):
+            rank(g, Divisor(g, (100, 0, 0)), max_degree=100)
+        # the memo kept only completed states, and each call has its own budget
         assert rank(g, Divisor(g, (5, 0, 0))).value == 4
 
     def test_graph_mismatch(self, binary2, triangle_doubled):
