@@ -34,7 +34,7 @@ class GraphMismatch(DivisorGraphError):
 
 
 class EnumerationCapExceeded(DivisorGraphError):
-    """Class or subset enumeration would exceed its cap."""
+    """Class or subset enumeration, or a loopless model, would exceed its cap."""
 
 
 class DegreeCapExceeded(DivisorGraphError):

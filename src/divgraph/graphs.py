@@ -3,10 +3,11 @@
 A Graph is immutable after construction: the vertex order is fixed, every
 operation is a pure function of the inputs, and derived structures
 (Laplacian data, BFS layers, the loopless model) are memoised internally.
-Other modules read the adjacency through the public view (``adjacency``,
-``neighbors``, ``degrees``, ``edge_pairs``, ``reduced_laplacian``,
-``cut_size``), move chips across a cut with ``fire``, and memoise their
-own per-graph data with ``Graph.memo``.
+The non-loop adjacency is kept once, as sparse neighbour lists. Other
+modules read it through the public view (``neighbors``, ``degrees``,
+``edge_pairs``, ``cut_size`` and ``reduced_laplacian``, the one dense
+matrix), move chips across a cut with ``fire``, and memoise their own
+per-graph data with ``Graph.memo``.
 
 Conventions baked in here:
   * connectivity ignores loop edges (loops never disconnect anything);
@@ -30,6 +31,7 @@ from .errors import (
 from .intmat import determinant
 
 MAX_SUBSET_VERTICES = 16  # the cut criterion and the balance inequality visit 2^n sets
+MAX_MODEL_VERTICES = 100_000  # largest weightless loopless model loopless_model builds
 
 
 def check_subset_sweep(graph):
@@ -78,17 +80,6 @@ class Graph:
                 raise UnknownVertexId(f"edge endpoint {b!r} is not a vertex")
             edge_list.append((a, b))
 
-        n = len(ids)
-        adj = [[0] * n for _ in range(n)]
-        loops = [0] * n
-        for a, b in edge_list:
-            i, j = index[a], index[b]
-            if i == j:
-                loops[i] += 1
-            else:
-                adj[i][j] += 1
-                adj[j][i] += 1
-
         self._ids = ids
         self._index = index
         self._weights = tuple(weights)
@@ -96,12 +87,17 @@ class Graph:
         self._edge_pairs = tuple(
             (min(index[a], index[b]), max(index[a], index[b])) for a, b in edge_list
         )
-        self._adj = tuple(tuple(row) for row in adj)
+        loops = [0] * len(ids)
+        nbrs = [{} for _ in ids]
+        for i, j in self._edge_pairs:
+            if i == j:
+                loops[i] += 1
+            else:
+                nbrs[i][j] = nbrs[i].get(j, 0) + 1
+                nbrs[j][i] = nbrs[j].get(i, 0) + 1
         self._loops = tuple(loops)
-        self._neighbors = tuple(
-            tuple((j, m) for j, m in enumerate(row) if m) for row in adj
-        )
-        self._degree = tuple(sum(row) for row in adj)
+        self._neighbors = tuple(tuple(sorted(row.items())) for row in nbrs)
+        self._degree = tuple(sum(row.values()) for row in nbrs)
         self._cache = {}
         self._check_connected()
         self._hash = hash((self._ids, self._weights, self._edge_list))
@@ -200,12 +196,14 @@ class Graph:
         """
         zi = self.indices(zs)
         wi = self.indices(ws)
-        adj = self._adj
+        nbrs, deg = self._neighbors, self._degree
         total = 0
         for i in zi:
-            row = adj[i]
-            for j in wi:
-                total += row[j] if i != j else -self._degree[i]
+            if i in wi:
+                total -= deg[i]
+            for j, m in nbrs[i]:
+                if j in wi:
+                    total += m
         return total
 
     def complexity(self):
@@ -216,13 +214,8 @@ class Graph:
     # -- read-only adjacency view, indexed by vertex position ---------------
 
     @property
-    def adjacency(self):
-        """Symmetric matrix of non-loop edge multiplicities (zero diagonal)."""
-        return self._adj
-
-    @property
     def neighbors(self):
-        """Per vertex, the ``(neighbour index, multiplicity)`` pairs."""
+        """Per vertex, its non-loop ``(neighbour index, multiplicity)`` pairs by index."""
         return self._neighbors
 
     @property
@@ -276,9 +269,7 @@ class Graph:
         if not 0 <= e < len(self._edge_list):
             raise UnknownEdge(f"edge index {e} out of range")
         i, j = self._edge_pairs[e]
-        if i == j:
-            return False
-        if self._adj[i][j] > 1:
+        if i == j or self._edge_pairs.count((i, j)) > 1:  # a loop or a parallel edge
             return False
         # BFS from i avoiding the single i-j edge; bridge iff j unreached
         n = len(self._ids)
@@ -294,7 +285,9 @@ class Graph:
         return not seen[j]
 
     def bfs_layers(self, q):
-        """Vertex indices grouped by edge distance from q (index), memoised."""
+        """``(layers, inward)`` from the vertex index q, memoised: the vertex
+        indices grouped by edge distance from q, and per vertex the number
+        of edges joining it to the layer before its own (0 at q)."""
         return self.memo(("layers", q), lambda g: _bfs_layers(g, q))
 
     def contract(self, edge_subset):
@@ -350,12 +343,17 @@ class Graph:
         the pre-existing loops of a vertex in edge order, then its weight
         loops. Genus is preserved; a graph that is already weightless and
         loopless is its own model (not memoised: it would refer to itself).
+        A model past MAX_MODEL_VERTICES is refused before it is built.
         """
         if self.is_weightless_loopless():
             return LooplessModel(len(self._ids), self)
         return self.memo("loopless", Graph._build_loopless_model)
 
     def _build_loopless_model(self):
+        size = len(self._ids) + sum(self._loops) + sum(self._weights)
+        if size > MAX_MODEL_VERTICES:
+            raise EnumerationCapExceeded(f"{size} model vertices exceed the cap of "
+                                         f"{MAX_MODEL_VERTICES}")
         used = set(self._ids)
         new_vertices = [(v, 0) for v in self._ids]
         new_edges = [e for e in self._edge_list if self._index[e[0]] != self._index[e[1]]]
@@ -376,27 +374,28 @@ def _bfs_layers(graph, q):
     nbrs = graph.neighbors
     dist = [-1] * graph.vertex_count
     dist[q] = 0
-    order = [q]
-    queue = deque([q])
-    while queue:
-        u = queue.popleft()
-        for w, _ in nbrs[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                order.append(w)
-                queue.append(w)
-    layers = [[] for _ in range(max(dist) + 1)]
-    for v in order:
-        layers[dist[v]].append(v)
-    return tuple(tuple(layer) for layer in layers)
+    inward = [0] * graph.vertex_count
+    layers = [(q,)]
+    for k, layer in enumerate(layers, 1):  # grows while it is read
+        found = []
+        for u in layer:
+            for w, m in nbrs[u]:
+                if dist[w] < 0:
+                    dist[w] = k
+                    found.append(w)
+                if dist[w] == k:
+                    inward[w] += m
+        if found:
+            layers.append(tuple(found))
+    return tuple(layers), tuple(inward)
 
 
 def _reduced_laplacian(graph):
-    adj, deg = graph.adjacency, graph.degrees
-    n = graph.vertex_count
+    deg, n = graph.degrees, graph.vertex_count
+    rows = (dict(graph.neighbors[i]) for i in range(1, n))
     return tuple(
-        tuple(deg[i] if i == j else -adj[i][j] for j in range(1, n))
-        for i in range(1, n)
+        tuple(deg[i] if i == j else -row.get(j, 0) for j in range(1, n))
+        for i, row in enumerate(rows, 1)
     )
 
 

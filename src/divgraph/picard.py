@@ -28,19 +28,17 @@ def reduce_coeffs(graph: Graph, coeffs, q: int):
     """q-reduced form of a coefficient tuple; q is a vertex index."""
     n = graph.vertex_count
     d = list(coeffs)
-    adj = graph.adjacency
 
     # stage 1: make d nonnegative away from q, outermost layer first.
     # Firing the ball of radius k-1 moves chips only from layer k-1 to
-    # layer k, so later sweeps never disturb the layers already fixed.
-    layers = graph.bfs_layers(q)
+    # layer k, so later sweeps never disturb the layers already fixed;
+    # each firing gives v its inward edge count.
+    layers, inward = graph.bfs_layers(q)
     for k in range(len(layers) - 1, 0, -1):
-        inner = layers[k - 1]
         t = 0
         for v in layers[k]:
             if d[v] < 0:
-                gain = sum(adj[v][u] for u in inner)
-                t = max(t, (gain - d[v] - 1) // gain)
+                t = max(t, (inward[v] - d[v] - 1) // inward[v])
         if t:
             graph.fire(d, chain.from_iterable(layers[:k]), t)
 

@@ -12,7 +12,7 @@ which is the increasing-degree search over effective test divisors e,
 sharing class-effectivity tests through q-reduced forms: remainders d - e
 that are linearly equivalent cost one burning run between them. States are
 memoised per graph. The recursion runs as one loop over an explicit stack,
-bounded by MAX_REDUCTIONS burns per call, since degree alone does not.
+bounded per call by MAX_REDUCED_COEFFS burnt coefficients, as degree is not.
 
 General graphs are handled through their weightless loopless model: the
 divisor is extended by zeros on the midpoint vertices and ranked there.
@@ -35,7 +35,7 @@ from .intmat import compositions
 from .picard import is_equivalent, reduce_coeffs
 
 DEFAULT_DEGREE_CAP = 30
-MAX_REDUCTIONS = 250_000
+MAX_REDUCED_COEFFS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,21 @@ class RankResult:
 class _RankEngine:
     """Rank search on one weightless loopless graph, a view built per call
     over two dicts memoised on it. They hold only tuples and ints, so they
-    die with the graph. Past MAX_REDUCTIONS burns it raises DegreeCapExceeded."""
+    die with the graph. Each burn costs n of the MAX_REDUCED_COEFFS budget."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.vertex_count
-        self.reductions = 0
+        self.reduced_coeffs = 0
         self._reduced, self._rank = graph.memo("rank_memo", lambda g: ({}, {}))
 
     def reduced(self, coeffs):
         r = self._reduced.get(coeffs)
         if r is None:
-            self.reductions += 1
-            if self.reductions > MAX_REDUCTIONS:
-                raise DegreeCapExceeded(f"rank search past {MAX_REDUCTIONS} reductions")
+            self.reduced_coeffs += self.n
+            if self.reduced_coeffs > MAX_REDUCED_COEFFS:
+                raise DegreeCapExceeded(
+                    f"rank search past {MAX_REDUCED_COEFFS} reduced coefficients")
             r = reduce_coeffs(self.graph, coeffs, 0)
             self._reduced[coeffs] = r
         return r

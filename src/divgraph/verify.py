@@ -149,11 +149,11 @@ def _box(n, coeff_bound):
 
 
 def _dedupe_by_support(items):
-    """The first graph of each non-loop adjacency: the equivalence-level
-    suites read nothing else."""
+    """The first graph of each non-loop adjacency (its neighbour lists fix
+    it): the equivalence-level suites read nothing else."""
     seen = set()
     for gidx, g in items:
-        key = g.adjacency
+        key = g.neighbors
         if key not in seen:
             seen.add(key)
             yield gidx, g
@@ -586,7 +586,7 @@ def _deal(graphs, shards):
     corpus order, dealt round-robin: each adjacency is in exactly one shard."""
     groups = {}
     for i, g in enumerate(graphs):
-        groups.setdefault(g.adjacency, []).append(i)
+        groups.setdefault(g.neighbors, []).append(i)
     return [list(groups.values())[shard::shards] for shard in range(shards)]
 
 

@@ -1,6 +1,13 @@
-import pytest
+from collections import Counter
+from pathlib import Path
 
-from divgraph import Graph
+import pytest
+from hypothesis import strategies as st
+
+import divgraph
+from divgraph import Divisor, Graph
+
+SRC = str(Path(divgraph.__file__).resolve().parents[1])  # the tree this divgraph came from
 
 
 @pytest.fixture
@@ -45,3 +52,28 @@ def binary(g):
 
 def single_vertex(weight, loops=0):
     return Graph([("v", weight)], [("v", "v")] * loops)
+
+
+@st.composite
+def weighted_multigraphs(draw, max_model=None):
+    """Connected multigraphs on 5-7 vertices: a random spanning tree, up to
+    two more edges, and weight units and loops dealt to the vertices
+    (at most ``max_model`` vertices in the loopless model if given)."""
+    n = draw(st.integers(5, 7))
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges += [(ids[a], ids[b]) for a, b in draw(st.lists(pair, max_size=2)) if a != b]
+    extra = 3 if max_model is None else max_model - n
+    units = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                          max_size=extra))
+    edges += [(ids[v], ids[v]) for v, is_loop in units if is_loop]
+    weights = Counter(v for v, is_loop in units if not is_loop)
+    return Graph([(v, weights[i]) for i, v in enumerate(ids)], edges)
+
+
+def divisors_of_degree(draw, g, low, high):
+    degree = draw(st.integers(low, high))
+    coeffs = draw(st.lists(st.integers(-2, 3), min_size=g.vertex_count - 1,
+                           max_size=g.vertex_count - 1))
+    return Divisor(g, (*coeffs, degree - sum(coeffs)))

@@ -7,7 +7,6 @@ import sys
 import textwrap
 import weakref
 from itertools import permutations
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +15,9 @@ from divgraph.corpus import connected_multigraphs, weightless
 from divgraph.errors import EnumerationCapExceeded
 from divgraph.verify import SUITES, run_all
 
+from conftest import SRC
+
 SMALL = {"max_vertices": 3, "max_edges": 4, "max_total_weight": 1}
-SRC = str(Path(verify.__file__).resolve().parents[1])
 
 
 def _require_fork():
@@ -63,7 +63,7 @@ class TestEnumeration:
             g for g in graphs
             if g.vertex_count == 4
             and not any(g.loop_count(v) for v in g.vertex_ids)
-            and all(m <= 1 for row in g.adjacency for m in row)
+            and all(m <= 1 for row in g.neighbors for _, m in row)
         ]
         assert len(simple) == 6
 
@@ -184,7 +184,7 @@ class TestShardProcesses:
 
         def logging_suite(suite):
             def body(items, params):
-                adjacencies = {g.adjacency for _, g in items}
+                adjacencies = {g.neighbors for _, g in items}
                 with log.open("a") as out:
                     out.write(f"{suite} {items[0][0]} {len(adjacencies)} {os.getpid()}\n")
                 return verify._Recorder()
@@ -199,7 +199,7 @@ class TestShardProcesses:
         groups = {}
         for suite, first_index, _, pid in runs:
             groups.setdefault(int(first_index), []).append((suite, int(pid)))
-        assert len(groups) == len({g.adjacency for g in connected_multigraphs(**SMALL)})
+        assert len(groups) == len({g.neighbors for g in connected_multigraphs(**SMALL)})
         # each group runs every suite, in order, in one process
         for calls in groups.values():
             assert [suite for suite, _ in calls] == ["first", "second"]
@@ -223,7 +223,7 @@ class TestShardProcesses:
             # the real suites fill the rank and model memos on every graph
             results = run_all(suite_names=["watch", "riemann_roch", "rank_properties",
                                            "semibalanced"], **SMALL)
-            assert len(alive_at_start) == len({g.adjacency
+            assert len(alive_at_start) == len({g.neighbors
                                                for g in connected_multigraphs(**SMALL)})
             assert alive_at_start == [0] * len(alive_at_start)
             assert not any(r() for rs in refs.values() for r in rs)

@@ -275,6 +275,18 @@ class TestComplexity:
         assert triangle_doubled.complexity() == 5
 
 
+def _dense_adjacency(g):
+    """The non-loop adjacency matrix, built from the edge list alone."""
+    n = g.vertex_count
+    adj = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        i, j = g.index(a), g.index(b)
+        if i != j:
+            adj[i][j] += 1
+            adj[j][i] += 1
+    return adj
+
+
 class TestAdjacencyView:
     def test_other_modules_read_no_private_graph_state(self):
         # every module but graphs.py goes through the public view
@@ -327,11 +339,52 @@ class TestAdjacencyView:
 
     def test_view(self, triangle_doubled):
         g = triangle_doubled
-        assert g.adjacency == ((0, 2, 1), (2, 0, 1), (1, 1, 0))
         assert g.neighbors == (((1, 2), (2, 1)), ((0, 2), (2, 1)), ((0, 1), (1, 1)))
         assert g.degrees == (3, 3, 2)
         assert g.edge_pairs == ((0, 1), (0, 1), (0, 2), (1, 2))
         assert g.reduced_laplacian() == ((3, -1), (-1, 2))
+
+    def test_sparse_view_matches_a_dense_matrix(self):
+        for g in connected_multigraphs(3, 5, 2):
+            adj, n, ids = _dense_adjacency(g), g.vertex_count, g.vertex_ids
+            assert g.neighbors == tuple(
+                tuple((j, m) for j, m in enumerate(row) if m) for row in adj)
+            assert g.degrees == tuple(map(sum, adj))
+            assert g.reduced_laplacian() == tuple(
+                tuple(sum(adj[i]) if i == j else -adj[i][j] for j in range(1, n))
+                for i in range(1, n))
+            subsets = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+            for zs in subsets:
+                for ws in subsets:
+                    expected = sum(adj[i][j] if i != j else -sum(adj[i])
+                                   for i in zs for j in ws)
+                    assert g.intersection({ids[i] for i in zs},
+                                          {ids[j] for j in ws}) == expected
+
+    def test_is_bridge_iff_deleting_the_edge_disconnects(self):
+        for g in connected_multigraphs(3, 5, 2):
+            vertices = list(zip(g.vertex_ids, g.weights))
+            for e in range(g.edge_count):
+                try:
+                    Graph(vertices, g.edges[:e] + g.edges[e + 1:])
+                    disconnects = False
+                except DisconnectedGraph:
+                    disconnects = True
+                assert g.is_bridge(e) == disconnects
+
+    def test_bfs_layers_and_inward_gains(self):
+        for g in connected_multigraphs(3, 5, 2):
+            adj, n = _dense_adjacency(g), g.vertex_count
+            for q in range(n):
+                layers, inward = g.bfs_layers(q)
+                assert layers[0] == (q,) and inward[q] == 0
+                assert sorted(chain.from_iterable(layers)) == list(range(n))
+                for k in range(1, len(layers)):
+                    nearer = list(chain.from_iterable(layers[:k - 1]))
+                    for v in layers[k]:
+                        # at distance k: an edge into layer k-1, none nearer q
+                        assert inward[v] == sum(adj[v][u] for u in layers[k - 1]) > 0
+                        assert not any(adj[v][u] for u in nearer)
 
     def test_memo_builds_once(self, binary2):
         built = []

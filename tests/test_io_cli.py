@@ -2,6 +2,9 @@ import argparse
 import concurrent.futures
 import gc
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -21,11 +24,17 @@ from divgraph.io import (
     save_document,
 )
 
+from conftest import SRC
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def fixture(name):
     return str(FIXTURES / name)
+
+
+def one_vertex_document(weight):
+    return '{"vertices":[{"id":"a","weight":%d}],"edges":[]}' % weight
 
 
 # json.dumps cannot write an integer past int's digit limit, so documents
@@ -245,11 +254,38 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == "1999\n"
 
     def test_rank_past_reduction_budget_is_2(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCTIONS", 40)
+        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCED_COEFFS", 120)
         assert main(["rank", fixture("cycle3.json"), "--divisor", "(100,0,0)",
                      "--max-search-degree", "100"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: rank search past 40 reductions\n"
+        assert err == "error: rank search past 120 reduced coefficients\n"
+
+    @pytest.mark.parametrize("command", [["rank", "--divisor", "(0)"], ["bullet"]])
+    def test_model_past_the_cap_is_2(self, command, tmp_path, capsys):
+        path = tmp_path / "heavy.json"
+        path.write_text(one_vertex_document(10**9), encoding="utf-8")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 1000000001 model vertices exceed the cap of 100000\n"
+
+    @pytest.mark.parametrize("divisor, answer", [
+        ("(0)", (0, "0\n", "")),
+        # each burn costs 20,001 coefficients, so the budget stops the search
+        # after about 100 of them
+        ("(3)", (2, "", "error: rank search past 2000000 reduced coefficients\n")),
+    ])
+    def test_large_model_in_bounded_memory(self, divisor, answer, tmp_path):
+        # a dense n x n adjacency of this 20,001-vertex model would need
+        # gigabytes; the neighbour lists fit well inside 1 GB
+        path = tmp_path / "heavy.json"
+        path.write_text(one_vertex_document(20_000), encoding="utf-8")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-m", "divgraph.cli", "rank", str(path), "--divisor", divisor],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        assert (child.returncode, child.stdout, child.stderr) == answer
 
 
 class TestCliParser:

@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from divgraph import (
     Divisor,
@@ -18,7 +19,7 @@ from divgraph.intmat import smith_normal_form
 from divgraph.oracles import equivalent_by_firing, spanning_tree_count
 from divgraph.picard import reduce_coeffs, superstable_configs
 
-from conftest import cycle, single_vertex
+from conftest import cycle, single_vertex, weighted_multigraphs
 
 
 class TestQReduce:
@@ -70,6 +71,34 @@ class TestQReduce:
             r1 = q_reduce(Divisor(plain, coeffs), "a").coeffs
             r2 = q_reduce(Divisor(noisy, coeffs), "a").coeffs
             assert r1 == r2
+
+
+class TestReductionProperties:
+    """Seeded properties on graphs past the 4-vertex verify corpus and on
+    their loopless models, whose BFS layers run deeper."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_idempotent_and_invariant_under_firing(self, data):
+        g = data.draw(weighted_multigraphs())
+        for graph in (g, g.loopless_model().model):
+            n = graph.vertex_count
+            coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+            q = data.draw(st.integers(0, n - 1))
+            red = reduce_coeffs(graph, coeffs, q)
+            assert reduce_coeffs(graph, red, q) == red
+            for v in graph.vertex_ids:
+                move = firing_divisor(graph, v).coeffs
+                for sign in (1, -1):
+                    moved = [a + sign * b for a, b in zip(coeffs, move)]
+                    assert reduce_coeffs(graph, moved, q) == red
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(weighted_multigraphs())
+    def test_order_is_the_number_of_spanning_trees(self, g):
+        for graph in (g, g.loopless_model().model):
+            order = picard_structure(graph).order
+            assert order == graph.complexity() == spanning_tree_count(graph)
 
 
 class TestEquivalence:

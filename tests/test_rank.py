@@ -1,5 +1,4 @@
 import sys
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -28,32 +27,7 @@ from divgraph.errors import (
 )
 from divgraph.oracles import rank_by_definition
 
-from conftest import binary, cycle, single_vertex
-
-
-@st.composite
-def weighted_multigraphs(draw, max_model=None):
-    """Connected multigraphs on 5-7 vertices: a random spanning tree, up to
-    two more edges, and weight units and loops dealt to the vertices
-    (at most ``max_model`` vertices in the loopless model if given)."""
-    n = draw(st.integers(5, 7))
-    ids = [f"v{i}" for i in range(n)]
-    edges = [(ids[draw(st.integers(0, i - 1))], ids[i]) for i in range(1, n)]
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    edges += [(ids[a], ids[b]) for a, b in draw(st.lists(pair, max_size=2)) if a != b]
-    extra = 3 if max_model is None else max_model - n
-    units = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
-                          max_size=extra))
-    edges += [(ids[v], ids[v]) for v, is_loop in units if is_loop]
-    weights = Counter(v for v, is_loop in units if not is_loop)
-    return Graph([(v, weights[i]) for i, v in enumerate(ids)], edges)
-
-
-def divisors_of_degree(draw, g, low, high):
-    degree = draw(st.integers(low, high))
-    coeffs = draw(st.lists(st.integers(-2, 3), min_size=g.vertex_count - 1,
-                           max_size=g.vertex_count - 1))
-    return Divisor(g, (*coeffs, degree - sum(coeffs)))
+from conftest import binary, cycle, divisors_of_degree, single_vertex, weighted_multigraphs
 
 
 class TestClassEffectivity:
@@ -222,9 +196,9 @@ class TestRankGuards:
             sys.setrecursionlimit(limit)
 
     def test_reduction_budget(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCTIONS", 40)
-        g = cycle(3)
-        with pytest.raises(DegreeCapExceeded, match="past 40 reductions"):
+        monkeypatch.setattr(sys.modules["divgraph.rank"], "MAX_REDUCED_COEFFS", 120)
+        g = cycle(3)  # 40 burns of 3 coefficients each
+        with pytest.raises(DegreeCapExceeded, match="past 120 reduced coefficients"):
             rank(g, Divisor(g, (100, 0, 0)), max_degree=100)
         # the memo kept only completed states, and each call has its own budget
         assert rank(g, Divisor(g, (5, 0, 0))).value == 4
