@@ -3,10 +3,10 @@
 One subcommand per library operation plus a ``verify`` runner for the
 property suites. Exit codes: 0 for success or a true check, 1 for a
 well-formed negative answer (not equivalent, check fails, suite found a
-counterexample), 2 for usage or input errors. ``--format json`` emits a
-single object with ``command``, ``result`` and ``details`` keys; all
-numbers are exact integers, non-integral rationals are rendered as "p/q"
-strings.
+counterexample), 2 for usage or input errors and any other exception (one
+``error:`` line). ``--format json`` emits a single object with ``command``,
+``result`` and ``details`` keys; all numbers are exact integers,
+non-integral rationals are rendered as "p/q" strings.
 """
 
 import argparse
@@ -54,8 +54,8 @@ def _load(args):
     return load_document(args.graph)
 
 
-def _divisor(args, graph, named, attr="divisor"):
-    return parse_divisor(getattr(args, attr), graph, named)
+def _divisor(args, graph, named):
+    return parse_divisor(args.divisor, graph, named)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -88,7 +88,6 @@ def _cmd_rank(args):
 def _cmd_reduce(args):
     graph, named = _load(args)
     d = _divisor(args, graph, named)
-    graph.index(args.basepoint)
     red = q_reduce(d, args.basepoint)
     return _emit(args, "reduce", list(red.coeffs),
                  details={"basepoint": args.basepoint},
@@ -346,8 +345,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except DivisorGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other exception is a defect, named by its type
+        kind = "" if isinstance(exc, DivisorGraphError) else f"{type(exc).__name__}: "
+        print(f"error: {kind}{exc}".replace("\n", " "), file=sys.stderr)
         return ERROR
 
 

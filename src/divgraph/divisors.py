@@ -34,12 +34,6 @@ class Divisor:
     def zero(cls, graph):
         return cls(graph, (0,) * graph.vertex_count)
 
-    @classmethod
-    def unit(cls, graph, v):
-        coeffs = [0] * graph.vertex_count
-        coeffs[graph.index(v)] = 1
-        return cls(graph, coeffs)
-
     @property
     def degree(self):
         return sum(self.coeffs)

@@ -2,12 +2,12 @@
 
 A Graph is immutable after construction: the vertex order is fixed, every
 operation is a pure function of the inputs, and derived structures
-(Laplacian data, BFS layers, the loopless model) are memoised internally.
-The non-loop adjacency is kept once, as sparse neighbour lists. Other
-modules read it through the public view (``neighbors``, ``degrees``,
-``edge_pairs``, ``cut_size`` and ``reduced_laplacian``, the one dense
-matrix), move chips across a cut with ``fire``, and memoise their own
-per-graph data with ``Graph.memo``.
+(the Laplacian's invariant factors, BFS layers, the loopless model) are
+memoised internally. The non-loop adjacency is kept once, as sparse
+neighbour lists, and no dense matrix is ever built from it. Other modules
+read it through the public view (``neighbors``, ``degrees``,
+``edge_pairs``, ``cut_size``), move chips across a cut with ``fire``, and
+memoise their own per-graph data with ``Graph.memo``.
 
 Conventions baked in here:
   * connectivity ignores loop edges (loops never disconnect anything);
@@ -19,6 +19,7 @@ Conventions baked in here:
 """
 
 from collections import deque
+from math import prod
 
 from .errors import (
     DisconnectedGraph,
@@ -28,7 +29,7 @@ from .errors import (
     UnknownEdge,
     UnknownVertexId,
 )
-from .intmat import determinant
+from .intmat import smith_normal_form
 
 MAX_SUBSET_VERTICES = 16  # the cut criterion and the balance inequality visit 2^n sets
 MAX_MODEL_VERTICES = 100_000  # largest weightless loopless model loopless_model builds
@@ -207,9 +208,9 @@ class Graph:
         return total
 
     def complexity(self):
-        """Number of spanning trees (loops and weights are irrelevant),
-        by the matrix-tree determinant over exact integers."""
-        return self.memo("complexity", lambda g: determinant(g.reduced_laplacian()))
+        """Number of spanning trees (loops and weights are irrelevant): by
+        the matrix-tree theorem, the product of ``invariant_factors()``."""
+        return prod(self.invariant_factors())
 
     # -- read-only adjacency view, indexed by vertex position ---------------
 
@@ -228,9 +229,11 @@ class Graph:
         """Per edge, its endpoint indices as ``(min, max)``; equal for a loop."""
         return self._edge_pairs
 
-    def reduced_laplacian(self):
-        """The Laplacian with the first vertex's row and column deleted."""
-        return self.memo("reduced_laplacian", _reduced_laplacian)
+    def invariant_factors(self):
+        """The Smith diagonal d_1 | d_2 | ... of the reduced Laplacian (the
+        first vertex's row and column deleted), memoised: Pic^0 is the sum
+        of the cyclic groups Z/d_i. No dense matrix is built."""
+        return self.memo("invariant_factors", _invariant_factors)
 
     def cut_size(self, indices):
         """Number of non-loop edges with exactly one end in the index set."""
@@ -390,13 +393,10 @@ def _bfs_layers(graph, q):
     return tuple(layers), tuple(inward)
 
 
-def _reduced_laplacian(graph):
-    deg, n = graph.degrees, graph.vertex_count
-    rows = (dict(graph.neighbors[i]) for i in range(1, n))
-    return tuple(
-        tuple(deg[i] if i == j else -row.get(j, 0) for j in range(1, n))
-        for i, row in enumerate(rows, 1)
-    )
+def _invariant_factors(graph):
+    deg, nbrs, n = graph.degrees, graph.neighbors, graph.vertex_count
+    rows = [{j - 1: -m for j, m in nbrs[i] if j} | {i - 1: deg[i]} for i in range(1, n)]
+    return tuple(smith_normal_form(rows, n - 1))
 
 
 class DisjointSets:

@@ -1,12 +1,17 @@
-"""Exact integer helpers: vector enumeration, determinants, Smith normal
-form, lattices.
+"""Exact integer helpers: vector enumeration, Smith normal form, lattices.
 
 Everything here works on plain Python ints, so there is no overflow to
-guard against; matrix-tree determinants routinely exceed 64 bits.
+guard against; the invariant factors of a graph Laplacian, whose product
+is the spanning-tree count, routinely exceed 64 bits.
 """
 
-from bisect import bisect_left
+from collections import defaultdict
+from heapq import heappop, heappush
 from itertools import combinations
+
+from .errors import EnumerationCapExceeded
+
+MAX_ELIMINATION_ENTRIES = 2_000_000  # entries smith_normal_form may scan and update
 
 
 def xgcd(a, b):
@@ -43,51 +48,75 @@ def compositions(total, length):
         yield head + (total - sum(head),)
 
 
-def determinant(rows):
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination. Exact for arbitrary size entries."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def smith_normal_form(rows, ncols):
+    """Nonnegative diagonal of the Smith normal form of an integer matrix
+    given as sparse rows ``{column: nonzero entry}`` over ``ncols``
+    columns: a list d_1 | d_2 | ..., zeros included.
 
-
-def smith_normal_form(rows):
-    """Nonnegative diagonal of the Smith normal form of an integer matrix,
-    as a list d_1 | d_2 | ..., zeros included.
-
-    Least-entry pivoting: move an entry of least absolute value to the
-    corner and clear its row and column by division with remainder; a
-    nonzero remainder is smaller than the corner and restarts the round.
-    If the corner then fails to divide some entry of the rest, that row is
-    added to the first row and the round restarts. The corner only shrinks,
-    so this ends, and each corner divides all that is left: it is the next
-    invariant factor.
+    Two stages, both charged the entries they scan and update; past
+    MAX_ELIMINATION_ENTRIES they raise EnumerationCapExceeded. While some
+    entry is +-1, the one of least Markowitz cost (the other entries of its
+    row times those of its column) is eliminated by Schur complement, a
+    unimodular step that yields an invariant factor 1. The small core left
+    is packed into dense rows for least-entry pivoting: move an entry of
+    least absolute value to the corner and clear its column, then its row,
+    by division with remainder. A nonzero remainder, or a row of the rest
+    that the corner does not divide (added to the first row), restarts the
+    round with a smaller corner; otherwise the corner is the next factor.
     """
-    m = [list(r) for r in rows]
-    diag = []
+    spent = 0  # entries scanned and updated so far
+    live = dict(enumerate(map(dict, rows)))  # row index -> its entries
+    cols = defaultdict(set)  # column -> the live rows with an entry there
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+
+    def charge(entries):
+        nonlocal spent
+        spent += entries
+        if spent > MAX_ELIMINATION_ENTRIES:
+            raise EnumerationCapExceeded(
+                f"Smith elimination past {MAX_ELIMINATION_ENTRIES} matrix entries")
+
+    def cost(i, j):
+        return (len(live[i]) - 1) * (len(cols[j]) - 1)
+
+    # keys go stale as rows and columns change; each is checked when it comes out
+    heap = sorted((cost(i, j), i, j) for i, row in live.items()
+                  for j, a in row.items() if a in (1, -1))
+    done = set()  # pivot columns
+    while heap:
+        key, i, j = heappop(heap)
+        if live.get(i, {}).get(j) not in (1, -1):
+            continue
+        if cost(i, j) > key:  # back in with the true cost
+            heappush(heap, (cost(i, j), i, j))
+            continue
+        charge(len(live[i]) * len(cols[j]))
+        row = live.pop(i)
+        for c in row:
+            cols[c].discard(i)
+        p = row.pop(j)
+        for k in cols.pop(j):
+            other = live[k]
+            f = other.pop(j) * p  # p is its own inverse
+            for c, a in row.items():  # only these entries change, so only they are pushed
+                other[c] = other.get(c, 0) - f * a
+                if not other[c]:
+                    del other[c]
+                    cols[c].discard(k)
+                    continue
+                cols[c].add(k)
+                if other[c] in (1, -1):
+                    heappush(heap, (cost(k, c), k, c))
+        done.add(j)
+
+    left = [c for c in range(ncols) if c not in done]
+    charge(len(live) * len(left))
+    m = [[row.get(c, 0) for c in left] for row in live.values()]
+    diag = [1] * len(done)
     while m and m[0]:
+        charge(len(m) * len(m[0]))
         least = min(((abs(a), i, j) for i, row in enumerate(m)
                      for j, a in enumerate(row) if a), default=None)
         if least is None:
@@ -103,12 +132,10 @@ def smith_normal_form(rows):
             if q:
                 for j, a in enumerate(top):
                     row[j] -= q * a
-        for j in range(1, len(top)):
-            q = top[j] // p
-            if q:
-                for row in m:
-                    row[j] -= q * row[0]
-        if any(row[0] for row in m[1:]) or any(top[1:]):
+        if any(row[0] for row in m[1:]):
+            continue
+        top[1:] = [a % p for a in top[1:]]  # column operations, now seen in the first row only
+        if any(top[1:]):
             continue
         rest = [row[1:] for row in m[1:]]
         bad = next((row for row in rest if any(a % p for a in row)), None)
@@ -130,8 +157,7 @@ class IntegerLattice:
 
     def __init__(self, ambient_dimension):
         self.n = ambient_dimension
-        self.basis = []          # rows, echelon by leading column
-        self.pivot_cols = []     # leading column of each basis row
+        self.basis = {}  # leading column -> the basis row that leads there
 
     def add(self, vec):
         v = list(vec)
@@ -139,12 +165,9 @@ class IntegerLattice:
         for j in range(n):
             if v[j] == 0:
                 continue
-            where = bisect_left(self.pivot_cols, j)
-            if where == len(self.pivot_cols) or self.pivot_cols[where] != j:
-                self.basis.insert(where, v)
-                self.pivot_cols.insert(where, j)
+            row = self.basis.setdefault(j, v)
+            if row is v:  # a new leading column
                 return
-            row = self.basis[where]
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
@@ -164,13 +187,10 @@ class IntegerLattice:
         for j in range(n):
             if v[j] == 0:
                 continue
-            where = bisect_left(self.pivot_cols, j)
-            if where == len(self.pivot_cols) or self.pivot_cols[where] != j:
+            row = self.basis.get(j)
+            if row is None or v[j] % row[j]:
                 return False
-            row = self.basis[where]
-            q, r = divmod(v[j], row[j])
-            if r:
-                return False
+            q = v[j] // row[j]
             for k in range(j, n):
                 v[k] -= q * row[k]
         return True

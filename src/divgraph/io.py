@@ -53,8 +53,6 @@ def parse_document(doc) -> tuple:
         edges.append((entry[0], entry[1]))
     try:
         graph = Graph(vertices, edges)
-    except DocumentError:
-        raise
     except Exception as exc:  # graph validation errors carry the details
         raise DocumentError(str(exc)) from exc
 

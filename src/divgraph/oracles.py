@@ -2,8 +2,8 @@
 
 Each of these deliberately avoids the machinery it is used to validate:
 spanning trees are counted by enumerating edge subsets rather than by a
-determinant, class effectivity enumerates candidate effective divisors
-and tests lattice membership rather than reducing, the rank oracle walks
+Smith elimination, equivalence and class effectivity test membership in
+the lattice of firing moves rather than reducing, the rank oracle walks
 the raw definition, firing components explore actual chip-firing
 moves inside a bounded coefficient box, and semibalance is tested bound
 by bound in Fractions, not through the balance context's subset table.
@@ -120,13 +120,17 @@ class FiringComponents:
             idx = idx * radix + (c + b)
         return self._find(idx)
 
-    def same_class(self, c1, c2) -> bool:
-        return self.root(c1) == self.root(c2)
+
+def equivalent_by_lattice(d1: Divisor, d2: Divisor) -> bool:
+    """Linear equivalence as membership of d1 - d2 in the lattice of firing moves."""
+    diff = tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs))
+    return diff in principal_lattice(d1.graph)
 
 
 def equivalent_by_firing(graph: Graph, c1, c2, bound: int) -> bool:
     """Bounded chip-firing reachability between two coefficient tuples."""
-    return FiringComponents(graph, bound).same_class(c1, c2)
+    components = FiringComponents(graph, bound)
+    return components.root(c1) == components.root(c2)
 
 
 def is_semibalanced_by_bounds(graph: Graph, divisor: Divisor) -> bool:

@@ -19,7 +19,7 @@ from itertools import chain
 from .divisors import Divisor, firing_divisor
 from .errors import EnumerationCapExceeded, GraphMismatch
 from .graphs import Graph
-from .intmat import IntegerLattice, smith_normal_form
+from .intmat import IntegerLattice
 
 CLASS_CAP = 10**6  # most classes enumerate_classes lists by default
 
@@ -87,9 +87,6 @@ class ReducedDivisor:
     def coeffs(self):
         return self.base.coeffs
 
-    def is_effective(self):
-        return self.base.is_effective()
-
 
 def q_reduce(divisor: Divisor, q) -> ReducedDivisor:
     """The unique q-reduced divisor linearly equivalent to ``divisor``."""
@@ -112,13 +109,13 @@ def _firing_lattice(graph):
 
 
 def is_equivalent(d1: Divisor, d2: Divisor) -> bool:
-    """True iff the divisors differ by a principal divisor."""
+    """True iff the divisors differ by a principal divisor, that is, iff
+    they have the same reduced form at the first vertex."""
     if d1.graph != d2.graph:
         raise GraphMismatch("divisors live on different graphs")
     if d1.degree != d2.degree:
         return False
-    diff = tuple(a - b for a, b in zip(d1.coeffs, d2.coeffs))
-    return diff in principal_lattice(d1.graph)
+    return reduce_coeffs(d1.graph, d1.coeffs, 0) == reduce_coeffs(d1.graph, d2.coeffs, 0)
 
 
 @dataclass(frozen=True)
@@ -131,14 +128,10 @@ class PicardStructure:
 
 
 def picard_structure(graph: Graph) -> PicardStructure:
-    """Invariant factors of Pic^0 via the Smith normal form of a reduced
-    Laplacian; the group order equals the number of spanning trees."""
-    diag = smith_normal_form(graph.reduced_laplacian())
-    order = 1
-    for d in diag:
-        order *= d
-    factors = tuple(d for d in diag if d > 1)
-    return PicardStructure(graph, factors, order if diag else 1)
+    """Invariant factors of Pic^0, read from the graph's memoised Smith
+    diagonal; the group order is the number of spanning trees."""
+    factors = tuple(d for d in graph.invariant_factors() if d > 1)
+    return PicardStructure(graph, factors, graph.complexity())
 
 
 def superstable_configs(graph: Graph, q: int):
@@ -179,10 +172,6 @@ def enumerate_classes(graph: Graph, degree: int, cap: int = CLASS_CAP):
     count = graph.complexity()
     if count > cap:
         raise EnumerationCapExceeded(f"{count} classes exceed the cap of {cap}")
-    reps = []
-    for config in superstable_configs(graph, 0):
-        coeffs = list(config)
-        coeffs[0] = degree - sum(config)
-        reps.append(tuple(coeffs))
-    reps.sort()
+    # a superstable is 0 at q = 0, where the class's remaining degree goes
+    reps = sorted((degree - sum(c),) + c[1:] for c in superstable_configs(graph, 0))
     return [Divisor(graph, c) for c in reps]

@@ -40,6 +40,7 @@ from .intmat import IntegerLattice
 from .io import document_of
 from .oracles import (
     FiringComponents,
+    equivalent_by_lattice,
     is_semibalanced_by_bounds,
     rank_by_definition,
     spanning_tree_count,
@@ -47,7 +48,6 @@ from .oracles import (
 )
 from .picard import (
     enumerate_classes,
-    is_equivalent,
     picard_structure,
     principal_lattice,
     q_reduce,
@@ -201,7 +201,7 @@ def _suite_contraction_complexity(items, params):
     rec = _Recorder()
     for gidx, g in rec.each(items):
         rec.check(g.complexity() == spanning_tree_count(g),
-                  lambda: "determinant vs brute tree count")
+                  lambda: "Smith product vs brute tree count")
         for e in _distinct_edges(g):
             cm = g.contract({e})
             rec.check(cm.target.genus() == g.genus(),
@@ -322,7 +322,7 @@ def _suite_reduction(items, params):
                       lambda coeffs=coeffs: f"reduce not idempotent at {coeffs}")
             rec.check(all(c >= 0 for i, c in enumerate(red.coeffs) if i != 0),
                       lambda coeffs=coeffs: f"reduce leaves negatives at {coeffs}")
-            rec.check(is_equivalent(d, red.base),
+            rec.check(equivalent_by_lattice(d, red.base),
                       lambda coeffs=coeffs: f"reduce leaves the class at {coeffs}")
             for v in ids:
                 shifted = d + firing_divisor(g, v)
@@ -354,7 +354,7 @@ def _suite_picard(items, params):
             if trees <= PAIRWISE_CAP:
                 for a in range(len(reps)):
                     for b in range(a + 1, len(reps)):
-                        rec.check(not is_equivalent(reps[a], reps[b]),
+                        rec.check(not equivalent_by_lattice(reps[a], reps[b]),
                                   lambda a=a, b=b, reps=reps:
                                   f"reps {reps[a].coeffs} ~ {reps[b].coeffs}")
         rec.check(counts == {trees}, lambda: f"class count varies with degree: {counts}")
@@ -393,12 +393,12 @@ def _suite_rank_properties(items, params):
                           lambda coeffs=coeffs, value=value:
                           f"high-degree rank {value} != d - g at {coeffs}")
             if degree == 0:
-                principal = is_equivalent(d, zero)
+                principal = equivalent_by_lattice(d, zero)
                 rec.check(value == (0 if principal else -1),
                           lambda coeffs=coeffs, value=value:
                           f"degree-0 dichotomy fails at {coeffs}")
             if degree == 2 * genus - 2:
-                ok = value <= genus - 1 and (value == genus - 1) == is_equivalent(d, k)
+                ok = value <= genus - 1 and (value == genus - 1) == equivalent_by_lattice(d, k)
                 rec.check(ok,
                           lambda coeffs=coeffs, value=value:
                           f"canonical-degree dichotomy fails at {coeffs}")
@@ -534,7 +534,7 @@ def _suite_semibalanced(items, params):
                 ok = (
                     report.semibalanced
                     and is_semibalanced_by_bounds(g, balanced_rep)
-                    and is_equivalent(balanced_rep, rep)
+                    and equivalent_by_lattice(balanced_rep, rep)
                     and rank(g, balanced_rep).value == degree - genus
                 )
                 rec.check(ok,

@@ -290,7 +290,7 @@ class TestCounterexamples:
          '"edges":[["v1","v2"]]} pushed principal lattice short at edge 0'),
         ("contraction_complexity", _weighted_fails_tree_count, 551, 64,
          '{"vertices":[{"id":"v1","weight":1}],"edges":[]}'
-         ' determinant vs brute tree count'),
+         ' Smith product vs brute tree count'),
         ("picard", _weighted_fails_tree_count, 1850, 64,
          '{"vertices":[{"id":"v1","weight":1}],"edges":[]} complexity vs brute count'),
     ])

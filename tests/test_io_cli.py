@@ -3,6 +3,7 @@ import concurrent.futures
 import gc
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from divgraph import Divisor, Graph
-from divgraph import cli, verify
+from divgraph import cli, intmat, verify
 from divgraph.cli import main
 from divgraph.errors import DocumentError
 from divgraph.io import (
@@ -35,6 +36,39 @@ def fixture(name):
 
 def one_vertex_document(weight):
     return '{"vertices":[{"id":"a","weight":%d}],"edges":[]}' % weight
+
+
+def run_bounded(argv, timeout=60):
+    """``divgraph`` in a subprocess under a 1 GB address-space limit:
+    the finished process and its wall seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "divgraph.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    return child, time.perf_counter() - start
+
+
+def cost_document(tmp_path, kind, n):
+    """A document of the cost-bound family: the n-cycle, K_n, the star with
+    its centre second, or a path on n vertices plus n random edges (seed 1;
+    loops and parallels allowed)."""
+    ids = [f"v{i}" for i in range(n)]
+    if kind == "cycle":
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "star":
+        pairs = [(1, i) for i in range(n) if i != 1]
+    elif kind == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    else:
+        rng = random.Random(1)
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    path = tmp_path / f"{kind}{n}.json"
+    save_document(path, Graph(ids, [(ids[i], ids[j]) for i, j in pairs]))
+    return str(path)
 
 
 # json.dumps cannot write an integer past int's digit limit, so documents
@@ -279,13 +313,70 @@ class TestCliExitCodes:
         # gigabytes; the neighbour lists fit well inside 1 GB
         path = tmp_path / "heavy.json"
         path.write_text(one_vertex_document(20_000), encoding="utf-8")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-        child = subprocess.run(
-            [sys.executable, "-m", "divgraph.cli", "rank", str(path), "--divisor", divisor],
-            capture_output=True, text=True, env=env, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+        child, _ = run_bounded(["rank", str(path), "--divisor", divisor])
         assert (child.returncode, child.stdout, child.stderr) == answer
+
+    def test_pic_past_the_elimination_budget_is_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(intmat, "MAX_ELIMINATION_ENTRIES", 1)
+        assert main(["pic", fixture("cycle6.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Smith elimination past 1 matrix entries\n"
+
+    def test_any_other_exception_is_2_on_one_line(self, monkeypatch, capsys):
+        def broken(args):
+            raise ValueError("a defect\nover two lines")
+
+        monkeypatch.setattr(cli, "_load", broken)
+        assert main(["genus", fixture("cycle3.json")]) == 2
+        assert capsys.readouterr().err == "error: ValueError: a defect over two lines\n"
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_load", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["genus", fixture("cycle3.json")])
+
+
+class TestCostBounds:
+    """Documents that took seconds or hung before the sparse Smith
+    elimination and equivalence by reduction, each run in a subprocess
+    under a 1 GB address-space limit. The wall bounds are generous."""
+
+    def test_pic_on_the_800_cycle(self, tmp_path):
+        child, seconds = run_bounded(["pic", cost_document(tmp_path, "cycle", 800)])
+        assert (child.returncode, child.stdout) == (0, "invariant factors [800], order 800\n")
+        assert seconds < 2
+
+    def test_pic_on_a_star_with_the_first_vertex_a_leaf(self, tmp_path):
+        # every leaf pivot updates the centre's long row, so the elimination
+        # must not rescan that row per pivot
+        child, seconds = run_bounded(["pic", cost_document(tmp_path, "star", 20_000)])
+        assert (child.returncode, child.stdout) == (0, "invariant factors [], order 1\n")
+        assert seconds < 3
+
+    def test_equiv_on_a_sparse_80_vertex_graph(self, tmp_path):
+        first, last = "(1" + ",0" * 79 + ")", "(" + "0," * 79 + "1)"
+        child, seconds = run_bounded(["equiv", cost_document(tmp_path, "sparse", 80),
+                                      "--d1", first, "--d2", last])
+        assert (child.returncode, child.stdout, child.stderr) == (1, "not equivalent\n", "")
+        assert seconds < 2
+
+    def test_pic_on_k60(self, tmp_path):
+        child, _ = run_bounded(["pic", cost_document(tmp_path, "complete", 60), "--format",
+                                "json"])
+        assert child.returncode == 0
+        result = json.loads(child.stdout)["result"]
+        assert result == {"invariant_factors": [60] * 58, "order": 60 ** 58}
+
+    def test_refused_past_the_elimination_budget(self, tmp_path):
+        # the smallest document of the family that the budget refuses
+        child, seconds = run_bounded(["pic", cost_document(tmp_path, "sparse", 400)])
+        assert child.returncode == 2
+        assert child.stderr == (f"error: Smith elimination past "
+                                f"{intmat.MAX_ELIMINATION_ENTRIES} matrix entries\n")
+        assert seconds < 3
 
 
 class TestCliParser:

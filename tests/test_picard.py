@@ -15,11 +15,43 @@ from divgraph import (
 )
 from divgraph.corpus import connected_multigraphs
 from divgraph.errors import EnumerationCapExceeded, GraphMismatch
+from divgraph import intmat
 from divgraph.intmat import smith_normal_form
-from divgraph.oracles import equivalent_by_firing, spanning_tree_count
+from divgraph.oracles import equivalent_by_firing, equivalent_by_lattice, spanning_tree_count
 from divgraph.picard import reduce_coeffs, superstable_configs
 
 from conftest import cycle, single_vertex, weighted_multigraphs
+
+
+@st.composite
+def path_plus_edges(draw, low, high):
+    """A path on ``low``-``high`` vertices plus up to as many random edges
+    (loops and parallel edges allowed), the shape of sparse CLI inputs."""
+    n = draw(st.integers(low, high))
+    ids = [f"v{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    return Graph(ids, list(zip(ids, ids[1:])) + [(ids[a], ids[b]) for a, b in pairs])
+
+
+def reduced_laplacian(g):
+    """The Laplacian of g with the first vertex's row and column deleted,
+    built from the edge list (loops ignored)."""
+    n = g.vertex_count
+    lap = [[0] * n for _ in range(n)]
+    for a, b in g.edges:
+        i, j = g.index(a), g.index(b)
+        if i != j:
+            lap[i][j] -= 1
+            lap[j][i] -= 1
+            lap[i][i] += 1
+            lap[j][j] += 1
+    return [row[1:] for row in lap[1:]]
+
+
+def sparse(rows):
+    """Dense rows as the (sparse rows, column count) arguments of smith_normal_form."""
+    return [{j: a for j, a in enumerate(r) if a} for r in rows], len(rows[0]) if rows else 0
 
 
 class TestQReduce:
@@ -127,13 +159,32 @@ class TestEquivalence:
         divisors = [c for c in product(range(-2, 3), repeat=3) if sum(c) == 0]
         for c1 in divisors:
             for c2 in divisors:
-                by_lattice = is_equivalent(Divisor(g, c1), Divisor(g, c2))
+                by_lattice = equivalent_by_lattice(Divisor(g, c1), Divisor(g, c2))
                 by_reduce = (
                     q_reduce(Divisor(g, c1), "v1").coeffs
                     == q_reduce(Divisor(g, c2), "v1").coeffs
                 )
                 by_firing = equivalent_by_firing(g, c1, c2, bound=6)
                 assert by_lattice == by_reduce == by_firing
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_reduction_agrees_with_the_lattice(self, data):
+        g = data.draw(path_plus_edges(5, 20))
+        n = g.vertex_count
+        c1 = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        times = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        c2 = list(c1)
+        for v, t in zip(g.vertex_ids, times):
+            g.fire(c2, [g.index(v)], t)
+        if data.draw(st.booleans()):  # move one chip: usually another class
+            i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+            c2[i] += 1
+            c2[j] -= 1
+        d1, d2 = Divisor(g, c1), Divisor(g, c2)
+        assert is_equivalent(d1, d2) == equivalent_by_lattice(d1, d2)
+        assert is_equivalent(d1, Divisor(g, c1[::-1])) == equivalent_by_lattice(
+            d1, Divisor(g, c1[::-1]))
 
     def test_equivalence_relation_axioms(self, binary2):
         g = binary2
@@ -191,12 +242,12 @@ def _sympy_invariant_factors(rows):
 
 class TestSmithNormalForm:
     def test_empty_zero_and_divisibility_chain(self):
-        assert smith_normal_form([]) == []
-        assert smith_normal_form([[]]) == []
-        assert smith_normal_form([[0, 0, 0], [0, 0, 0]]) == [0, 0]
-        assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-        assert smith_normal_form([[6, 0], [0, 4]]) == [2, 12]
-        assert smith_normal_form([[-3]]) == [3]
+        assert smith_normal_form(*sparse([])) == []
+        assert smith_normal_form(*sparse([[]])) == []
+        assert smith_normal_form(*sparse([[0, 0, 0], [0, 0, 0]])) == [0, 0]
+        assert smith_normal_form(*sparse([[2, 4], [6, 8]])) == [2, 4]
+        assert smith_normal_form(*sparse([[6, 0], [0, 4]])) == [2, 12]
+        assert smith_normal_form(*sparse([[-3]])) == [3]
 
     def test_random_matrices_match_sympy(self):
         rng = random.Random(20261019)
@@ -205,13 +256,61 @@ class TestSmithNormalForm:
             zeros = 1.0 if trial % 40 == 0 else 0.3
             rows = [[0 if rng.random() < zeros else rng.randint(-9, 9) for _ in range(ncols)]
                     for _ in range(nrows)]
-            assert smith_normal_form(rows) == _sympy_invariant_factors(rows), rows
+            assert smith_normal_form(*sparse(rows)) == _sympy_invariant_factors(rows), rows
 
     def test_reduced_laplacians_match_sympy(self):
         for g in connected_multigraphs(3, 5, 2):
-            rows = g.reduced_laplacian()
-            if rows:
-                assert smith_normal_form(rows) == _sympy_invariant_factors(rows), rows
+            _assert_matches_sympy(g)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(path_plus_edges(20, 60))
+    def test_sparse_graphs_match_sympy(self, g):
+        _assert_matches_sympy(g)
+
+    def test_cycles(self):
+        for n in (3, 10, 100, 800, 3200):
+            g = cycle(n)
+            assert picard_structure(g).invariant_factors == (n,)
+            assert g.complexity() == n
+
+    def test_complete_graphs(self):
+        for n in range(2, 61):
+            ids = list(range(n))
+            g = Graph(ids, [(a, b) for a in ids for b in ids if a < b])
+            assert picard_structure(g).invariant_factors == (n,) * (n - 2)
+            assert g.complexity() == n ** (n - 2)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=300))
+    def test_trees_are_trivial(self, parents):
+        # vertex k + 1 hangs from an earlier vertex, so this is a tree
+        edges = [(p % (k + 1), k + 1) for k, p in enumerate(parents)]
+        g = Graph(range(len(parents) + 1), edges)
+        assert set(g.invariant_factors()) == {1}
+        assert picard_structure(g).invariant_factors == ()
+        assert g.complexity() == 1
+
+    def test_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(intmat, "MAX_ELIMINATION_ENTRIES", 100)
+        with pytest.raises(EnumerationCapExceeded, match="past 100 matrix entries"):
+            picard_structure(cycle(40))
+        assert picard_structure(cycle(5)).order == 5
+
+
+def _assert_matches_sympy(g):
+    """The graph's invariant factors and tree count against sympy's Smith
+    form and determinant of a reduced Laplacian built from the edges."""
+    rows = reduced_laplacian(g)
+    if not rows:
+        assert g.invariant_factors() == () and g.complexity() == 1
+        return
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    size = (len(rows), len(rows))
+    det = DomainMatrix([[sympy.ZZ(a) for a in r] for r in rows], size, sympy.ZZ).det()
+    assert list(g.invariant_factors()) == _sympy_invariant_factors(rows), g.edges
+    assert g.complexity() == int(det)
 
 
 class TestEnumerateClasses:
