@@ -148,26 +148,37 @@ def smith_normal_form(rows, ncols):
 
 
 class IntegerLattice:
-    """A sublattice of Z^n kept as a row-echelon integer basis.
+    """A sublattice of Z^n kept as a basis in Hermite normal form.
 
-    Vectors are added with xgcd row reduction so the basis stays in
-    Hermite-style echelon form; membership is tested by reducing the
-    candidate against the pivots and requiring exact divisibility.
+    Each basis row leads at its own pivot column with a positive pivot,
+    and every entry of a row in a later row's pivot column lies in
+    [0, pivot) (Cohen, *A Course in Computational Algebraic Number Theory*,
+    1993, section 2.4). A vector is added by xgcd row reduction, after which
+    the rows it changed are renormalised, so entries stay within the pivots
+    rather than growing with every combination. ``residue`` reduces a vector
+    into [0, pivot) at every pivot column in turn: the result is the same
+    for every vector of one coset, so it is a canonical coset key, and
+    membership is a zero residue.
     """
 
     def __init__(self, ambient_dimension):
         self.n = ambient_dimension
         self.basis = {}  # leading column -> the basis row that leads there
+        self._rows = None  # (pivot column, pivot, nonzero (column, entry) pairs past it)
 
     def add(self, vec):
         v = list(vec)
         n = self.n
+        basis = self.basis
+        touched = n  # least pivot column whose row this call changed
         for j in range(n):
             if v[j] == 0:
                 continue
-            row = self.basis.setdefault(j, v)
-            if row is v:  # a new leading column
-                return
+            row = basis.get(j)
+            if row is None:  # a new leading column
+                basis[j] = v
+                touched = min(touched, j)
+                break
             a, b = row[j], v[j]
             if b % a == 0:
                 q = b // a
@@ -180,20 +191,51 @@ class IntegerLattice:
                     u, w = row[k], v[k]
                     row[k] = x * u + y * w
                     v[k] = a_g * w - b_g * u
+                touched = min(touched, j)
+        if touched < n:
+            self._normalise(touched)
+
+    def _normalise(self, start):
+        """Restore the Hermite form after the rows leading at ``start`` or
+        later changed: make their pivots positive, then reduce every row
+        at the pivot columns from ``start`` on, in ascending order (a
+        reduction at column k changes only columns k and later)."""
+        basis, n = self.basis, self.n
+        pivots = sorted(basis)
+        for j in pivots:
+            if j >= start and basis[j][j] < 0:
+                basis[j][:] = [-a for a in basis[j]]
+        for i in pivots:
+            row = basis[i]
+            for k in pivots:
+                if k > i and k >= start and row[k]:
+                    other = basis[k]
+                    q = row[k] // other[k]
+                    if q:
+                        for c in range(k, n):
+                            row[c] -= q * other[c]
+        self._rows = None
+
+    def residue(self, vec):
+        """The canonical representative of the coset vec + L, as a tuple:
+        vec reduced into [0, pivot) at each pivot column in turn. Two
+        vectors have equal residues iff their difference lies in L."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [
+                (j, row[j], [(k, a) for k, a in enumerate(row) if a and k > j])
+                for j, row in sorted(self.basis.items())]
+        v = list(vec)
+        for j, p, tail in rows:
+            q = v[j] // p
+            if q:
+                v[j] -= q * p
+                for k, a in tail:
+                    v[k] -= q * a
+        return tuple(v)
 
     def __contains__(self, vec):
-        v = list(vec)
-        n = self.n
-        for j in range(n):
-            if v[j] == 0:
-                continue
-            row = self.basis.get(j)
-            if row is None or v[j] % row[j]:
-                return False
-            q = v[j] // row[j]
-            for k in range(j, n):
-                v[k] -= q * row[k]
-        return True
+        return not any(self.residue(vec))
 
     @property
     def rank(self):

@@ -7,6 +7,11 @@ the lattice of firing moves rather than reducing, the rank oracle walks
 the raw definition, firing components explore actual chip-firing
 moves inside a bounded coefficient box, and semibalance is tested bound
 by bound in Fractions, not through the balance context's subset table.
+
+The lattice is not wholly independent of the fast paths: its residues
+also key the rank engine's memo by class, in place of a burn per input.
+The tests that compare residues with q-reduced forms, and the firing
+components that read neither, are the independent cross-check there.
 """
 
 from itertools import combinations, product

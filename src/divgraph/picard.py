@@ -10,7 +10,9 @@ negative, which Dhar's burning test certifies. q-reduction runs in two
 stages: a sweep over BFS layers that set-fires balls around q until every
 vertex away from q is nonnegative, then the burning loop that fires the
 unburnt set (with a multi-fire shortcut) until everything burns. Both
-stages move chips only through ``Graph.fire``.
+stages move chips only through ``Graph.fire``. A second canonical member of
+the class, found in integer steps with no burn but not q-reduced, is the
+residue modulo the principal lattice, which is kept in Hermite normal form.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from .graphs import Graph
 from .intmat import IntegerLattice
 
 CLASS_CAP = 10**6  # most classes enumerate_classes lists by default
+MAX_REDUCED_COEFFS = 2_000_000  # coefficients one search may burn, n per burn
 
 
 def reduce_coeffs(graph: Graph, coeffs, q: int):
@@ -144,7 +147,9 @@ def superstable_configs(graph: Graph, q: int):
     runs like an odometer that raises the last vertex first: once a raised
     value fails to burn with zeros after it, so do all larger values and
     all their completions, and the search resets it and raises the vertex
-    before. Every burn is on a superstable plus one chip.
+    before. Every burn is on a superstable plus one chip, and each costs n
+    of the MAX_REDUCED_COEFFS budget; past it EnumerationCapExceeded is
+    raised.
     """
     n = graph.vertex_count
     others = [v for v in range(n) if v != q]
@@ -152,17 +157,23 @@ def superstable_configs(graph: Graph, q: int):
     deg = graph.degrees
     config = [0] * n
     found = [tuple(config)]
+    burnt = 0  # coefficients burnt so far
     # invariant: config is superstable and zero on others[k + 1:]
     k = len(others) - 1
     while k >= 0:
         v = others[k]
         config[v] += 1
-        if config[v] < deg[v] and all(_burn(nbrs, config, q)[0]):
-            found.append(tuple(config))
-            k = len(others) - 1
-        else:
-            config[v] = 0
-            k -= 1
+        if config[v] < deg[v]:
+            burnt += n
+            if burnt > MAX_REDUCED_COEFFS:
+                raise EnumerationCapExceeded(
+                    f"class search past {MAX_REDUCED_COEFFS} burnt coefficients")
+            if all(_burn(nbrs, config, q)[0]):
+                found.append(tuple(config))
+                k = len(others) - 1
+                continue
+        config[v] = 0
+        k -= 1
     return found
 
 

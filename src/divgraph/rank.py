@@ -9,10 +9,17 @@ loopless graph this is computed exactly by the classical recursion
     rank(d) = 1 + min_v rank(d - v)   otherwise,
 
 which is the increasing-degree search over effective test divisors e,
-sharing class-effectivity tests through q-reduced forms: remainders d - e
-that are linearly equivalent cost one burning run between them. States are
-memoised per graph. The recursion runs as one loop over an explicit stack,
-bounded per call by MAX_REDUCED_COEFFS burnt coefficients, as degree is not.
+sharing class-effectivity tests through q-reduced forms. Rank is a function
+of the class, and each degree holds only as many classes as the graph has
+spanning trees, so remainders d - e that are linearly equivalent should
+cost one burning run between them. The engine memoises per graph each raw
+coefficient tuple's reduced form and, once that memo holds n^2 entries
+(by then n^2 burns of n coefficients have paid for the O(n^3) Hermite
+form), keys new tuples by class: the residue of the tuple modulo the
+principal lattice, a canonical coset representative found in integer
+steps with no burn. Only a class not seen before is burnt. The recursion
+runs as one loop over an explicit stack, bounded per call by
+MAX_REDUCED_COEFFS coefficients, n per raw memo miss, as degree is not.
 
 General graphs are handled through their weightless loopless model: the
 divisor is extended by zeros on the midpoint vertices and ranked there.
@@ -32,10 +39,9 @@ from .errors import (
 )
 from .graphs import Graph, check_subset_sweep
 from .intmat import compositions
-from .picard import is_equivalent, reduce_coeffs
+from .picard import MAX_REDUCED_COEFFS, is_equivalent, principal_lattice, reduce_coeffs
 
 DEFAULT_DEGREE_CAP = 30
-MAX_REDUCED_COEFFS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -57,14 +63,18 @@ class RankResult:
 
 class _RankEngine:
     """Rank search on one weightless loopless graph, a view built per call
-    over two dicts memoised on it. They hold only tuples and ints, so they
-    die with the graph. Each burn costs n of the MAX_REDUCED_COEFFS budget."""
+    over three dicts memoised on it: reduced forms by raw coefficients,
+    reduced forms by class key, and ranks by reduced form. They hold only
+    tuples and ints, so they die with the graph. Each raw memo miss costs
+    n of the MAX_REDUCED_COEFFS budget."""
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self.n = graph.vertex_count
         self.reduced_coeffs = 0
-        self._reduced, self._rank = graph.memo("rank_memo", lambda g: ({}, {}))
+        self._reduced, self._classes, self._rank = graph.memo(
+            "rank_memo", lambda g: ({}, {}, {}))
+        self._lattice = None
 
     def reduced(self, coeffs):
         r = self._reduced.get(coeffs)
@@ -73,9 +83,27 @@ class _RankEngine:
             if self.reduced_coeffs > MAX_REDUCED_COEFFS:
                 raise DegreeCapExceeded(
                     f"rank search past {MAX_REDUCED_COEFFS} reduced coefficients")
-            r = reduce_coeffs(self.graph, coeffs, 0)
+            key = self._class_key(coeffs)
+            r = self._classes.get(key)
+            if r is None:
+                r = reduce_coeffs(self.graph, coeffs, 0)
+                if key is not None:
+                    self._classes[key] = r
             self._reduced[coeffs] = r
         return r
+
+    def _class_key(self, coeffs):
+        """The class key of coeffs, or None while the raw memo holds fewer
+        than n^2 reduced forms and the lattice is not worth building."""
+        lattice = self._lattice
+        if lattice is None:
+            if len(self._reduced) < self.n * self.n:
+                return None
+            lattice = self._lattice = principal_lattice(self.graph)
+            if not self._classes:  # the classes burnt before the lattice
+                for r in set(self._reduced.values()):
+                    self._classes[lattice.residue(r)] = r
+        return lattice.residue(coeffs)
 
     def class_effective(self, coeffs):
         return sum(coeffs) >= 0 and self.reduced(coeffs)[0] >= 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from divgraph import Divisor, Graph
-from divgraph import cli, intmat, verify
+from divgraph import cli, intmat, picard, verify
 from divgraph.cli import main
 from divgraph.errors import DocumentError
 from divgraph.io import (
@@ -369,6 +369,15 @@ class TestCostBounds:
         assert child.returncode == 0
         result = json.loads(child.stdout)["result"]
         assert result == {"invariant_factors": [60] * 58, "order": 60 ** 58}
+
+    def test_classes_refused_past_the_burn_budget(self, tmp_path):
+        # n(n - 1)/2 = 319,600 burns of 800 coefficients; it answered after 52 s
+        child, seconds = run_bounded(["classes", cost_document(tmp_path, "cycle", 800),
+                                      "--degree", "0"])
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr == (f"error: class search past {picard.MAX_REDUCED_COEFFS} "
+                                f"burnt coefficients\n")
+        assert seconds < 1
 
     def test_refused_past_the_elimination_budget(self, tmp_path):
         # the smallest document of the family that the budget refuses

@@ -15,10 +15,10 @@ from divgraph import (
 )
 from divgraph.corpus import connected_multigraphs
 from divgraph.errors import EnumerationCapExceeded, GraphMismatch
-from divgraph import intmat
-from divgraph.intmat import smith_normal_form
+from divgraph import intmat, picard
+from divgraph.intmat import IntegerLattice, smith_normal_form
 from divgraph.oracles import equivalent_by_firing, equivalent_by_lattice, spanning_tree_count
-from divgraph.picard import reduce_coeffs, superstable_configs
+from divgraph.picard import principal_lattice, reduce_coeffs, superstable_configs
 
 from conftest import cycle, single_vertex, weighted_multigraphs
 
@@ -198,6 +198,111 @@ class TestEquivalence:
                         assert is_equivalent(a, c)
 
 
+def assert_keys_match_reductions(graph, vectors):
+    """Equal lattice residues exactly when the reduced forms at the first
+    vertex are equal: each determines the other on these vectors."""
+    lattice = principal_lattice(graph)
+    red_of_key, key_of_red = {}, {}
+    for c in vectors:
+        key, red = lattice.residue(c), reduce_coeffs(graph, c, 0)
+        assert red_of_key.setdefault(key, red) == red
+        assert key_of_red.setdefault(red, key) == key
+
+
+def translates(graph, rng, vectors):
+    """Each vector moved by a seeded combination of firing moves."""
+    moves = [firing_divisor(graph, v).coeffs for v in graph.vertex_ids]
+    out = []
+    for c in vectors:
+        c = list(c)
+        for move in moves:
+            t = rng.randint(-2, 2)
+            c = [a + t * b for a, b in zip(c, move)]
+        out.append(c)
+    return out
+
+
+class TestClassKeys:
+    """The rank engine keys classes by lattice residue in place of a burn;
+    these tests cross-check the keys against q-reduction."""
+
+    def test_keys_match_reductions_on_the_corpus_models(self):
+        rng = random.Random(1)
+        models = {}
+        for g in connected_multigraphs(4, 6, 2):
+            m = g.loopless_model().model
+            models.setdefault((m.vertex_count, m.neighbors), m)
+        for m in models.values():
+            box = [[rng.randint(-4, 4) for _ in range(m.vertex_count)] for _ in range(16)]
+            assert_keys_match_reductions(m, box + translates(m, rng, box))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(st.data())
+    def test_keys_match_reductions_on_weighted_graphs(self, data):
+        g = data.draw(weighted_multigraphs())
+        for graph in (g, g.loopless_model().model):
+            n = graph.vertex_count
+            box = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                                     min_size=2, max_size=12))
+            rng = random.Random(data.draw(st.integers(0, 2**16)))
+            assert_keys_match_reductions(graph, box + translates(graph, rng, box))
+
+    def test_residue_is_a_coset_representative(self):
+        lattice = IntegerLattice(3)
+        for vec in [(4, 6, 0), (0, 10, 4), (6, 0, -2)]:
+            lattice.add(vec)
+        v = (7, -3, 5)
+        r = lattice.residue(v)
+        assert tuple(a - b for a, b in zip(v, r)) in lattice
+        assert all(0 <= r[j] < row[j] for j, row in lattice.basis.items())
+        assert lattice.residue(r) == r
+        assert (1, 0, 0) not in lattice and (2, 12, 2) in lattice  # 2 (4, 6, 0) - (6, 0, -2)
+
+
+def sparse_graph(n):
+    """A path on n vertices plus n random edges (seed 1), as in the CLI's
+    cost-bound documents."""
+    rng = random.Random(1)
+    ids = [f"v{i}" for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+    return Graph(ids, [(ids[i], ids[j]) for i, j in pairs])
+
+
+class TestHermiteForm:
+    """The principal lattice of sparse graphs past the corpus: before the
+    basis was kept in Hermite form its entries reached thousands of bits
+    at 30 vertices and hundreds of thousands at 60."""
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_normalised_and_bounded_by_the_tree_count(self, n):
+        g = sparse_graph(n)
+        basis = principal_lattice(g).basis
+        assert len(basis) == n - 1
+        for j, row in basis.items():
+            assert row[j] > 0
+            assert not any(row[:j])
+            for k in basis:
+                if k > j:
+                    assert 0 <= row[k] < basis[k][k]
+        bits = g.complexity().bit_length()
+        assert max(abs(a).bit_length() for row in basis.values() for a in row) <= bits
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_membership_agrees_with_reduction(self, n):
+        g = sparse_graph(n)
+        rng = random.Random(n)
+        box = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(20)]
+        for c1, c2 in zip(box, translates(g, rng, box) + box[1:]):
+            d1, d2 = Divisor(g, c1), Divisor(g, c2)
+            assert equivalent_by_lattice(d1, d2) == is_equivalent(d1, d2)
+        for c1, c2 in zip(box, box[1:]):  # one chip moved: usually another class
+            c2 = c1[:1] + [c1[1] + 1] + c1[2:]
+            c2[0] -= 1
+            d1, d2 = Divisor(g, c1), Divisor(g, c2)
+            assert equivalent_by_lattice(d1, d2) == is_equivalent(d1, d2)
+
+
 class TestPicardStructure:
     def test_binary3(self, binary2):
         s = picard_structure(binary2)
@@ -374,6 +479,14 @@ class TestSuperstables:
                 box = [range(g.degrees[v]) if v != q else (0,) for v in range(n)]
                 fixed = [c for c in product(*box) if reduce_coeffs(g, c, q) == c]
                 assert superstable_configs(g, q) == fixed
+
+    def test_burn_budget(self, monkeypatch):
+        # the 40-cycle's search burns 780 times, 40 coefficients each
+        monkeypatch.setattr(picard, "MAX_REDUCED_COEFFS", 40 * 779)
+        with pytest.raises(EnumerationCapExceeded, match="past 31160 burnt coefficients"):
+            superstable_configs(cycle(40), 0)
+        monkeypatch.setattr(picard, "MAX_REDUCED_COEFFS", 40 * 780)
+        assert len(superstable_configs(cycle(40), 0)) == 40
 
     def test_long_path_needs_no_recursion(self):
         # deeper than the interpreter's default recursion limit

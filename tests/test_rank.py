@@ -25,6 +25,8 @@ from divgraph.errors import (
     GraphMismatch,
     RequiresWeightlessLoopless,
 )
+from divgraph import verify
+from divgraph.corpus import connected_multigraphs
 from divgraph.oracles import rank_by_definition
 
 from conftest import binary, cycle, divisors_of_degree, single_vertex, weighted_multigraphs
@@ -202,6 +204,32 @@ class TestRankGuards:
             rank(g, Divisor(g, (100, 0, 0)), max_degree=100)
         # the memo kept only completed states, and each call has its own budget
         assert rank(g, Divisor(g, (5, 0, 0))).value == 4
+
+    def test_burns_one_per_new_class(self, monkeypatch):
+        # counts are equal run to run, so burns that come back fail here
+        # even where timing noise would hide them; keyed by raw tuple
+        # alone, this sweep burnt 345,495 times
+        rank_module = sys.modules["divgraph.rank"]
+        burn, burns = rank_module.reduce_coeffs, []
+        monkeypatch.setattr(rank_module, "reduce_coeffs",
+                            lambda *args: burns.append(None) or burn(*args))
+        items = list(enumerate(connected_multigraphs(3, 5, 2)))
+        rec = verify.SUITES["riemann_roch"](items, {})
+        assert (rec.checked, rec.violations) == (95_122, 0)
+        assert len(burns) == 77_885
+
+    def test_lattice_waits_for_n_squared_reductions(self, monkeypatch):
+        rank_module = sys.modules["divgraph.rank"]
+        burn, lattice, events = rank_module.reduce_coeffs, rank_module.principal_lattice, []
+        monkeypatch.setattr(rank_module, "reduce_coeffs",
+                            lambda *args: events.append("burn") or burn(*args))
+        monkeypatch.setattr(rank_module, "principal_lattice",
+                            lambda g: events.append("lattice") or lattice(g))
+        g = cycle(4)
+        assert rank(g, Divisor(g, (1, 0, 0, 0))).value == 0
+        assert "lattice" not in events
+        assert rank(g, Divisor(g, (12, 0, 0, 0))).value == 11
+        assert events[:events.index("lattice")].count("burn") == 16
 
     def test_graph_mismatch(self, binary2, triangle_doubled):
         with pytest.raises(GraphMismatch):
